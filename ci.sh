@@ -17,6 +17,10 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> every crate's unit tests, integration tests and doctests"
+# Tier-1 runs only the facade package; this runs the whole workspace.
+cargo test --workspace -q
+
 echo "==> SIMD feature gate: simd-fieldset build + dataplane tests"
 # The explicit SSE2 kernels live behind a feature flag; the gate keeps the
 # cfg matrix (feature on/off) compiling and byte-equivalent everywhere.
@@ -40,18 +44,6 @@ cargo test -q --release --test journal_fuzz --test event_schema --test recovery_
 
 echo "==> state-access soundness suite (fast-pass/oracle equivalence, relaxed-plan verification)"
 cargo test -q --release --test stateaccess_soundness
-
-echo "==> hot-path evaluator + parallel-search smoke (double run, byte-diff)"
-# The smoke probe solves the library workload at 1/2/4/8 workers and
-# prints only deterministic fields; two runs must be byte-identical.
-hot_a="$(cargo run -q --release -p hermes-bench --bin hotpath -- --smoke)"
-hot_b="$(cargo run -q --release -p hermes-bench --bin hotpath -- --smoke)"
-if [[ "$hot_a" != "$hot_b" ]]; then
-  echo "hotpath smoke is nondeterministic:" >&2
-  diff <(printf '%s\n' "$hot_a") <(printf '%s\n' "$hot_b") >&2 || true
-  exit 1
-fi
-echo "smoke output stable: $hot_a"
 
 echo "==> parallel deploy determinism smoke (--threads 4 vs --threads 1, byte-diff)"
 # A 4-worker deploy must emit byte-identical artifacts to a single-worker
@@ -113,45 +105,23 @@ else
   echo "state-access golden matches"
 fi
 
-echo "==> portfolio determinism smoke (fixed seed, 2 threads, 2 s budget)"
-smoke_a="$(cargo run -q --release -p hermes-bench --bin portfolio -- --smoke)"
-smoke_b="$(cargo run -q --release -p hermes-bench --bin portfolio -- --smoke)"
-if [[ "$smoke_a" != "$smoke_b" ]]; then
-  echo "portfolio smoke is nondeterministic:" >&2
-  diff <(printf '%s\n' "$smoke_a") <(printf '%s\n' "$smoke_b") >&2 || true
-  exit 1
-fi
-echo "smoke output stable: $smoke_a"
-
-echo "==> migration determinism smoke (staged vs all-at-once, virtual clock)"
-mig_a="$(cargo run -q --release -p hermes-bench --bin migration -- --smoke)"
-mig_b="$(cargo run -q --release -p hermes-bench --bin migration -- --smoke)"
-if [[ "$mig_a" != "$mig_b" ]]; then
-  echo "migration smoke is nondeterministic:" >&2
-  diff <(printf '%s\n' "$mig_a") <(printf '%s\n' "$mig_b") >&2 || true
-  exit 1
-fi
-echo "smoke output stable: $mig_a"
-
-echo "==> target frontier determinism smoke (per-target greedy plans, fixed workload)"
-tgt_a="$(cargo run -q --release -p hermes-bench --bin targets -- --smoke)"
-tgt_b="$(cargo run -q --release -p hermes-bench --bin targets -- --smoke)"
-if [[ "$tgt_a" != "$tgt_b" ]]; then
-  echo "targets smoke is nondeterministic:" >&2
-  diff <(printf '%s\n' "$tgt_a") <(printf '%s\n' "$tgt_b") >&2 || true
-  exit 1
-fi
-echo "smoke output stable: ${tgt_a:0:120}..."
-
-echo "==> recovery determinism smoke (crash at every boundary, virtual clock)"
-rec_a="$(cargo run -q --release -p hermes-bench --bin recovery -- --smoke)"
-rec_b="$(cargo run -q --release -p hermes-bench --bin recovery -- --smoke)"
-if [[ "$rec_a" != "$rec_b" ]]; then
-  echo "recovery smoke is nondeterministic:" >&2
-  diff <(printf '%s\n' "$rec_a") <(printf '%s\n' "$rec_b") >&2 || true
-  exit 1
-fi
-echo "smoke output stable: ${rec_a:0:120}..."
+echo "==> determinism smokes (hotpath, portfolio, migration, targets, recovery; double run, byte-diff)"
+# Each bench binary's --smoke mode prints only deterministic fields
+# (plans, objectives, proofs, virtual-clock timings): hotpath solves the
+# library workload at 1/2/4/8 workers, portfolio races with a fixed seed,
+# 2 threads and a 2 s budget, migration compares staged vs all-at-once,
+# targets plans per-target greedy, recovery crashes at every boundary.
+# Two runs of each must be byte-identical.
+for bin in hotpath portfolio migration targets recovery; do
+  smoke_a="$(cargo run -q --release -p hermes-bench --bin "$bin" -- --smoke)"
+  smoke_b="$(cargo run -q --release -p hermes-bench --bin "$bin" -- --smoke)"
+  if [[ "$smoke_a" != "$smoke_b" ]]; then
+    echo "$bin smoke is nondeterministic:" >&2
+    diff <(printf '%s\n' "$smoke_a") <(printf '%s\n' "$smoke_b") >&2 || true
+    exit 1
+  fi
+  echo "$bin smoke output stable: ${smoke_a:0:120}..."
+done
 
 echo "==> golden journal + schema gate"
 # The journal of a clean deploy is byte-exact per format version; the
@@ -164,5 +134,10 @@ if ! diff <(cargo run -q --release -p hermes-bench --bin recovery -- --golden) \
   exit 1
 fi
 echo "journal golden matches"
+
+echo "==> pipeline benchmark build + self-test"
+# The benchmark is a workspace of its own that compiles against the
+# crates' public API; its self-test smokes every workload twice.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path pipebench/Cargo.toml
 
 echo "CI OK"

@@ -197,7 +197,7 @@ pub fn generate(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> DeploymentAr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
     use hermes_dataplane::library;
     use hermes_net::topology;
 

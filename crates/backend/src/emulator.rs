@@ -344,7 +344,7 @@ pub fn test_packet(seed: u64) -> Packet {
 mod tests {
     use super::*;
     use crate::config::generate;
-    use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
     use hermes_dataplane::library;
     use hermes_net::topology;
 

@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use hermes_backend::{config::generate, emulator};
-//! use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+//! use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 //! use hermes_dataplane::library;
 //! use hermes_net::topology;
 //!

@@ -193,9 +193,7 @@ pub fn check_transition(
 mod tests {
     use super::*;
     use crate::config::generate;
-    use hermes_core::{
-        DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer, StagePlacement,
-    };
+    use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver, StagePlacement};
     use hermes_dataplane::action::{Action, PrimitiveOp};
     use hermes_dataplane::fields::{headers, Field};
     use hermes_dataplane::library;

@@ -135,7 +135,7 @@ pub fn simulate_plan(
 mod tests {
     use super::*;
     use crate::config::generate;
-    use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
     use hermes_dataplane::library;
     use hermes_net::topology;
 

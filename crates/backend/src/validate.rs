@@ -110,7 +110,7 @@ pub fn validate_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_core::{DeploymentAlgorithm, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{GreedyHeuristic, ProgramAnalyzer, Solver};
     use hermes_dataplane::library;
     use hermes_net::topology;
 

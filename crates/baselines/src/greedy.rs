@@ -8,38 +8,13 @@
 //! behaviour Hermes improves on.
 
 use hermes_core::{
-    materialize, stage_feasible, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon,
-    SearchContext, SolveOutcome, SolveStats, Solver,
+    materialize, stage_feasible, DeployError, DeploymentPlan, Epsilon, SearchContext, SolveOutcome,
+    Solver,
 };
 use hermes_net::Network;
 use hermes_tdg::{NodeId, Tdg};
 use std::collections::BTreeSet;
 use std::time::Instant;
-
-/// One-shot construction wrapped as a [`Solver`]: deploy once, publish the
-/// objective as an incumbent, and claim optimality only at zero overhead.
-pub(crate) fn one_shot_solve(
-    algo: &dyn DeploymentAlgorithm,
-    tdg: &Tdg,
-    net: &Network,
-    eps: &Epsilon,
-    ctx: &SearchContext,
-) -> Result<SolveOutcome, DeployError> {
-    let start = Instant::now();
-    let plan = algo.deploy(tdg, net, eps)?;
-    let objective = plan.max_inter_switch_bytes(tdg);
-    ctx.publish_incumbent(objective);
-    Ok(SolveOutcome {
-        plan,
-        objective,
-        proven_optimal: objective == 0,
-        stats: SolveStats {
-            nodes_explored: 0,
-            wall: start.elapsed(),
-            proven_bound: (objective == 0).then_some(0),
-        },
-    })
-}
 
 /// Tie-breaking order inside a dependency level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,37 +33,11 @@ pub struct FirstFitByLevel;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FirstFitByLevelAndSize;
 
-impl DeploymentAlgorithm for FirstFitByLevel {
+impl Solver for FirstFitByLevel {
     fn name(&self) -> &str {
         "FFL"
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        first_fit(tdg, net, eps, LevelOrder::ByLevel)
-    }
-}
-
-impl DeploymentAlgorithm for FirstFitByLevelAndSize {
-    fn name(&self) -> &str {
-        "FFLS"
-    }
-
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        first_fit(tdg, net, eps, LevelOrder::ByLevelAndSize)
-    }
-}
-
-impl Solver for FirstFitByLevel {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -96,11 +45,17 @@ impl Solver for FirstFitByLevel {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        let start = Instant::now();
+        let plan = first_fit(tdg, net, eps, LevelOrder::ByLevel)?;
+        Ok(SolveOutcome::constructed(plan, tdg, ctx, start))
     }
 }
 
 impl Solver for FirstFitByLevelAndSize {
+    fn name(&self) -> &str {
+        "FFLS"
+    }
+
     fn solve(
         &self,
         tdg: &Tdg,
@@ -108,7 +63,9 @@ impl Solver for FirstFitByLevelAndSize {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        let start = Instant::now();
+        let plan = first_fit(tdg, net, eps, LevelOrder::ByLevelAndSize)?;
+        Ok(SolveOutcome::constructed(plan, tdg, ctx, start))
     }
 }
 

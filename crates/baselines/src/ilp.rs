@@ -17,14 +17,15 @@
 //! | P4All | minimize the maximum per-switch load (elastic headroom) |
 //!
 //! Exactly as in the paper, these solvers blow up on large instances;
-//! every framework therefore carries (a) a wall-clock budget after which
-//! the incumbent is used and (b) a documented greedy *surrogate* used when
-//! the model would not even fit in memory (`size_guard`). Exp#3 measures
-//! the ILP attempt time; overhead experiments consume the decisions.
+//! every framework therefore (a) stops at the [`SearchContext`] deadline
+//! and uses its incumbent and (b) carries a documented greedy *surrogate*
+//! used when the model would not even fit in memory (`size_guard`). Exp#3
+//! measures the ILP attempt time; overhead experiments consume the
+//! decisions.
 
 use hermes_core::{
-    materialize, DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic,
-    SearchContext, SolveOutcome, Solver, SplitStrategy,
+    materialize, DeployError, DeploymentPlan, Epsilon, GreedyHeuristic, SearchContext,
+    SolveOutcome, Solver, SplitStrategy,
 };
 use hermes_milp::{
     solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus,
@@ -32,9 +33,9 @@ use hermes_milp::{
 };
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::greedy::{one_shot_solve, FirstFitByLevel, FirstFitByLevelAndSize};
+use crate::greedy::{FirstFitByLevel, FirstFitByLevelAndSize};
 
 /// Which published objective an [`IlpBaseline`] encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,11 +52,10 @@ pub enum IlpObjective {
     BalanceLoad,
 }
 
-/// Shared configuration of the ILP frameworks.
+/// Size guards of the ILP frameworks (the solve budget comes from the
+/// [`SearchContext`]).
 #[derive(Debug, Clone)]
 pub struct IlpConfig {
-    /// Branch-and-bound budget per solve.
-    pub time_limit: Duration,
     /// Skip the ILP (use the surrogate) above this many binary variables.
     pub max_binaries: usize,
     /// Skip the ILP above this many rank-linearization cells
@@ -67,11 +67,7 @@ pub struct IlpConfig {
 
 impl Default for IlpConfig {
     fn default() -> Self {
-        IlpConfig {
-            time_limit: Duration::from_secs(20),
-            max_binaries: 4_000,
-            max_rank_cells: 2_500,
-        }
+        IlpConfig { max_binaries: 4_000, max_rank_cells: 2_500 }
     }
 }
 
@@ -115,7 +111,7 @@ impl IlpBaseline {
     }
 }
 
-impl DeploymentAlgorithm for IlpBaseline {
+impl Solver for IlpBaseline {
     fn name(&self) -> &str {
         self.name
     }
@@ -124,17 +120,8 @@ impl DeploymentAlgorithm for IlpBaseline {
         true
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.deploy_inner(tdg, net, eps, None)
-    }
-}
-
-impl Solver for IlpBaseline {
+    /// These frameworks optimize their own published objective, not
+    /// `A_max`, so only a zero-overhead plan is ever proven optimal.
     fn solve(
         &self,
         tdg: &Tdg,
@@ -143,21 +130,8 @@ impl Solver for IlpBaseline {
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
         let start = Instant::now();
-        let plan = self.deploy_inner(tdg, net, eps, Some(ctx))?;
-        let objective = plan.max_inter_switch_bytes(tdg);
-        ctx.publish_incumbent(objective);
-        Ok(SolveOutcome {
-            plan,
-            objective,
-            // These frameworks optimize their own published objective, not
-            // A_max, so only zero overhead is ever proven optimal.
-            proven_optimal: objective == 0,
-            stats: hermes_core::SolveStats {
-                nodes_explored: 0,
-                wall: start.elapsed(),
-                proven_bound: (objective == 0).then_some(0),
-            },
-        })
+        let plan = self.deploy_inner(tdg, net, eps, ctx)?;
+        Ok(SolveOutcome::constructed(plan, tdg, ctx, start))
     }
 }
 
@@ -167,7 +141,7 @@ impl IlpBaseline {
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: Option<&SearchContext>,
+        ctx: &SearchContext,
     ) -> Result<DeploymentPlan, DeployError> {
         let component = net.largest_component();
         let candidates: Vec<SwitchId> =
@@ -184,19 +158,12 @@ impl IlpBaseline {
         if binaries > self.config.max_binaries || rank_cells > self.config.max_rank_cells {
             return self.surrogate(tdg, net, eps);
         }
-        // Budget: the context when racing, the configured limit otherwise.
         // The shared incumbent is NOT passed down — it bounds A_max, which
         // is not what these models minimize.
-        let controls = match ctx {
-            Some(ctx) => SolveControls {
-                deadline: ctx.deadline(),
-                stop: Some(ctx.cancel_token().as_flag()),
-                upper_bound: None,
-            },
-            None => SolveControls {
-                deadline: Some(Instant::now() + self.config.time_limit),
-                ..Default::default()
-            },
+        let controls = SolveControls {
+            deadline: ctx.deadline(),
+            stop: Some(ctx.cancel_token().as_flag()),
+            upper_bound: None,
         };
         match solve_assignment(tdg, net, eps, &candidates, self.objective, &controls) {
             Some(assign) => materialize(tdg, net, &candidates, &assign)
@@ -401,25 +368,10 @@ fn solve_assignment(
 
 /// Sonata \[4\]: deploys programs one at a time, each through its own small
 /// pack-left ILP against the capacity left by earlier programs.
-#[derive(Debug, Clone)]
-pub struct Sonata {
-    config: IlpConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sonata;
 
-impl Sonata {
-    /// Sonata with the given per-program solve budget.
-    pub fn new(config: IlpConfig) -> Self {
-        Sonata { config }
-    }
-}
-
-impl Default for Sonata {
-    fn default() -> Self {
-        Sonata::new(IlpConfig::default())
-    }
-}
-
-impl DeploymentAlgorithm for Sonata {
+impl Solver for Sonata {
     fn name(&self) -> &str {
         "Sonata"
     }
@@ -428,64 +380,6 @@ impl DeploymentAlgorithm for Sonata {
         true
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        let component = net.largest_component();
-        let candidates: Vec<SwitchId> =
-            net.programmable_switches().into_iter().filter(|s| component.contains(s)).collect();
-        if candidates.is_empty() {
-            return Err(DeployError::NoProgrammableSwitch);
-        }
-        if tdg.node_count() == 0 {
-            return Ok(DeploymentPlan::new());
-        }
-        // Program order: first occurrence over node indexes.
-        let mut programs: Vec<String> = Vec::new();
-        for id in tdg.node_ids() {
-            for p in &tdg.node(id).programs {
-                if !programs.contains(p) {
-                    programs.push(p.clone());
-                }
-            }
-        }
-        let q = candidates.len();
-        let mut assign = vec![usize::MAX; tdg.node_count()];
-        let mut used = vec![0.0f64; q];
-        for prog in &programs {
-            let members: Vec<NodeId> = tdg
-                .node_ids()
-                .filter(|&id| assign[id.index()] == usize::MAX)
-                .filter(|&id| tdg.node(id).programs.contains(prog))
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let partial = solve_program_packing(tdg, net, &candidates, &members, &assign, &used)
-                .ok_or_else(|| DeployError::NoFeasiblePlacement {
-                    reason: format!("sonata could not place program `{prog}`"),
-                })?;
-            for (&id, &c) in members.iter().zip(&partial) {
-                assign[id.index()] = c;
-                used[c] += tdg.node(id).mat.resource();
-            }
-        }
-        let _ = &self.config;
-        materialize(tdg, net, &candidates, &assign)
-            .filter(|p| {
-                p.end_to_end_latency_us() <= eps.max_latency_us
-                    && p.occupied_switch_count() <= eps.max_switches
-            })
-            .ok_or_else(|| DeployError::NoFeasiblePlacement {
-                reason: "sonata placement violated ε-bounds or staging".to_owned(),
-            })
-    }
-}
-
-impl Solver for Sonata {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -493,8 +387,61 @@ impl Solver for Sonata {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
-        one_shot_solve(self, tdg, net, eps, ctx)
+        let start = Instant::now();
+        let plan = sonata_deploy(tdg, net, eps)?;
+        Ok(SolveOutcome::constructed(plan, tdg, ctx, start))
     }
+}
+
+/// Sonata's program-by-program placement.
+fn sonata_deploy(tdg: &Tdg, net: &Network, eps: &Epsilon) -> Result<DeploymentPlan, DeployError> {
+    let component = net.largest_component();
+    let candidates: Vec<SwitchId> =
+        net.programmable_switches().into_iter().filter(|s| component.contains(s)).collect();
+    if candidates.is_empty() {
+        return Err(DeployError::NoProgrammableSwitch);
+    }
+    if tdg.node_count() == 0 {
+        return Ok(DeploymentPlan::new());
+    }
+    // Program order: first occurrence over node indexes.
+    let mut programs: Vec<String> = Vec::new();
+    for id in tdg.node_ids() {
+        for p in &tdg.node(id).programs {
+            if !programs.contains(p) {
+                programs.push(p.clone());
+            }
+        }
+    }
+    let q = candidates.len();
+    let mut assign = vec![usize::MAX; tdg.node_count()];
+    let mut used = vec![0.0f64; q];
+    for prog in &programs {
+        let members: Vec<NodeId> = tdg
+            .node_ids()
+            .filter(|&id| assign[id.index()] == usize::MAX)
+            .filter(|&id| tdg.node(id).programs.contains(prog))
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        let partial = solve_program_packing(tdg, net, &candidates, &members, &assign, &used)
+            .ok_or_else(|| DeployError::NoFeasiblePlacement {
+                reason: format!("sonata could not place program `{prog}`"),
+            })?;
+        for (&id, &c) in members.iter().zip(&partial) {
+            assign[id.index()] = c;
+            used[c] += tdg.node(id).mat.resource();
+        }
+    }
+    materialize(tdg, net, &candidates, &assign)
+        .filter(|p| {
+            p.end_to_end_latency_us() <= eps.max_latency_us
+                && p.occupied_switch_count() <= eps.max_switches
+        })
+        .ok_or_else(|| DeployError::NoFeasiblePlacement {
+            reason: "sonata placement violated ε-bounds or staging".to_owned(),
+        })
 }
 
 /// Greedy pack-left of one program's nodes given fixed prior placements.
@@ -553,6 +500,16 @@ mod tests {
     use super::*;
     use hermes_core::verify;
     use hermes_dataplane::library;
+    use std::time::Duration;
+
+    /// Solves under a 5 s context: enough for the tiny testbed models.
+    fn fast_deploy(solver: &dyn Solver, tdg: &Tdg, net: &Network) -> DeploymentPlan {
+        let ctx = SearchContext::with_time_limit(Duration::from_secs(5));
+        solver
+            .solve(tdg, net, &Epsilon::loose(), &ctx)
+            .unwrap_or_else(|e| panic!("{}: {e}", solver.name()))
+            .plan
+    }
 
     fn small_inputs() -> (Tdg, Network) {
         // Three programs keep the ILPs tiny enough for exact solves.
@@ -563,23 +520,19 @@ mod tests {
         ])
     }
 
-    fn fast() -> IlpConfig {
-        IlpConfig { time_limit: Duration::from_secs(5), ..Default::default() }
-    }
-
     #[test]
     fn every_ilp_baseline_produces_verified_plans() {
         let (tdg, net) = small_inputs();
         let eps = Epsilon::loose();
         let baselines: Vec<IlpBaseline> = vec![
-            IlpBaseline::min_stage(fast()),
-            IlpBaseline::speed(fast()),
-            IlpBaseline::mtp(fast()),
-            IlpBaseline::flightplan(fast()),
-            IlpBaseline::p4all(fast()),
+            IlpBaseline::min_stage(IlpConfig::default()),
+            IlpBaseline::speed(IlpConfig::default()),
+            IlpBaseline::mtp(IlpConfig::default()),
+            IlpBaseline::flightplan(IlpConfig::default()),
+            IlpBaseline::p4all(IlpConfig::default()),
         ];
         for b in baselines {
-            let plan = b.deploy(&tdg, &net, &eps).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+            let plan = fast_deploy(&b, &tdg, &net);
             let violations = verify(&tdg, &net, &plan, &eps);
             assert!(violations.is_empty(), "{}: {violations:?}", b.name());
         }
@@ -589,7 +542,7 @@ mod tests {
     fn sonata_places_programs_sequentially() {
         let (tdg, net) = small_inputs();
         let eps = Epsilon::loose();
-        let plan = Sonata::default().deploy(&tdg, &net, &eps).unwrap();
+        let plan = Sonata.deploy(&tdg, &net, &eps).unwrap();
         let violations = verify(&tdg, &net, &plan, &eps);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -598,8 +551,8 @@ mod tests {
     fn size_guard_falls_back_to_surrogate() {
         let (tdg, net) = small_inputs();
         let eps = Epsilon::loose();
-        let tiny_guard = IlpConfig { max_binaries: 1, ..fast() };
-        let plan = IlpBaseline::min_stage(tiny_guard).deploy(&tdg, &net, &eps).unwrap();
+        let tiny_guard = IlpConfig { max_binaries: 1, ..Default::default() };
+        let plan = fast_deploy(&IlpBaseline::min_stage(tiny_guard), &tdg, &net);
         assert!(verify(&tdg, &net, &plan, &eps).is_empty());
     }
 
@@ -610,8 +563,8 @@ mod tests {
         let hermes = GreedyHeuristic::new().deploy(&tdg, &net, &eps).unwrap();
         let h = hermes.max_inter_switch_bytes(&tdg);
         for plan in [
-            IlpBaseline::min_stage(fast()).deploy(&tdg, &net, &eps).unwrap(),
-            Sonata::default().deploy(&tdg, &net, &eps).unwrap(),
+            fast_deploy(&IlpBaseline::min_stage(IlpConfig::default()), &tdg, &net),
+            Sonata.deploy(&tdg, &net, &eps).unwrap(),
         ] {
             assert!(h <= plan.max_inter_switch_bytes(&tdg));
         }
@@ -620,8 +573,7 @@ mod tests {
     #[test]
     fn p4all_balances_load() {
         let (tdg, net) = small_inputs();
-        let eps = Epsilon::loose();
-        let plan = IlpBaseline::p4all(fast()).deploy(&tdg, &net, &eps).unwrap();
+        let plan = fast_deploy(&IlpBaseline::p4all(IlpConfig::default()), &tdg, &net);
         // The balanced objective should occupy more than one switch even
         // though everything could fit on one.
         assert!(plan.occupied_switch_count() >= 2);
@@ -630,8 +582,7 @@ mod tests {
     #[test]
     fn min_stage_packs_left() {
         let (tdg, net) = small_inputs();
-        let eps = Epsilon::loose();
-        let plan = IlpBaseline::min_stage(fast()).deploy(&tdg, &net, &eps).unwrap();
+        let plan = fast_deploy(&IlpBaseline::min_stage(IlpConfig::default()), &tdg, &net);
         // Everything fits the first switch (total R small), so pack-left
         // should use exactly one switch.
         assert_eq!(plan.occupied_switch_count(), 1);

@@ -9,8 +9,9 @@
 //! 2. **Heuristic frameworks** ([`greedy`]): first fit by level (FFL) and
 //!    first fit by level and size (FFLS).
 //!
-//! All implement [`hermes_core::DeploymentAlgorithm`], so experiments
-//! iterate over one uniform suite (see [`standard_suite`]).
+//! All implement [`hermes_core::Solver`], the one solver trait, so
+//! experiments iterate over one uniform suite (see [`standard_suite`]) and
+//! bound every solve with the same [`hermes_core::SearchContext`] budget.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,19 +22,19 @@ pub mod ilp;
 pub use greedy::{FirstFitByLevel, FirstFitByLevelAndSize};
 pub use ilp::{IlpBaseline, IlpConfig, IlpObjective, Sonata};
 
-use hermes_core::{Budgeted, DeploymentAlgorithm, GreedyHeuristic, OptimalSolver};
-use std::time::Duration;
+use hermes_core::{GreedyHeuristic, OptimalSolver, Solver};
 
 /// The full algorithm suite of the paper's evaluation, in its figure
 /// order: MS, Sonata, SPEED, MTP, FP, P4All, FFL, FFLS, Hermes, Optimal.
 ///
-/// `ilp_budget` bounds each ILP-based framework's solve (and the Optimal
-/// search); the paper's Gurobi runs are capped at two hours the same way.
-pub fn standard_suite(ilp_budget: Duration) -> Vec<Box<dyn DeploymentAlgorithm>> {
-    let config = IlpConfig { time_limit: ilp_budget, ..Default::default() };
+/// The suite carries no budget: callers bound each solve through the
+/// [`hermes_core::SearchContext`] they pass to [`Solver::solve`], the way
+/// the paper caps its Gurobi runs at two hours.
+pub fn standard_suite() -> Vec<Box<dyn Solver>> {
+    let config = IlpConfig::default();
     vec![
         Box::new(IlpBaseline::min_stage(config.clone())),
-        Box::new(Sonata::new(config.clone())),
+        Box::new(Sonata),
         Box::new(IlpBaseline::speed(config.clone())),
         Box::new(IlpBaseline::mtp(config.clone())),
         Box::new(IlpBaseline::flightplan(config.clone())),
@@ -41,7 +42,7 @@ pub fn standard_suite(ilp_budget: Duration) -> Vec<Box<dyn DeploymentAlgorithm>>
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
         Box::new(GreedyHeuristic::new()),
-        Box::new(Budgeted::new(OptimalSolver::default(), ilp_budget)),
+        Box::new(OptimalSolver::default()),
     ]
 }
 
@@ -51,7 +52,7 @@ mod tests {
 
     #[test]
     fn suite_has_ten_algorithms_with_unique_names() {
-        let suite = standard_suite(Duration::from_secs(1));
+        let suite = standard_suite();
         assert_eq!(suite.len(), 10);
         let names: std::collections::BTreeSet<&str> = suite.iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), 10);

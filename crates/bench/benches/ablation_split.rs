@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hermes_bench::{analyze, workload};
-use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, SplitStrategy};
+use hermes_core::{Epsilon, GreedyHeuristic, Solver, SplitStrategy};
 use hermes_net::topology::table3_wan;
 use std::hint::black_box;
 

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hermes_baselines::{FirstFitByLevel, IlpBaseline, IlpConfig};
 use hermes_bench::{analyze, workload};
-use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic};
+use hermes_core::{Epsilon, GreedyHeuristic, SearchContext, Solver};
 use hermes_net::topology;
 use std::hint::black_box;
 use std::time::Duration;
@@ -23,11 +23,11 @@ fn solver_time(c: &mut Criterion) {
         b.iter(|| black_box(FirstFitByLevel.deploy(black_box(&tdg), &net, &eps)))
     });
     group.bench_function("min_stage_ilp_100ms_budget", |b| {
-        let ilp = IlpBaseline::min_stage(IlpConfig {
-            time_limit: Duration::from_millis(100),
-            ..Default::default()
-        });
-        b.iter(|| black_box(ilp.deploy(black_box(&tdg), &net, &eps)))
+        let ilp = IlpBaseline::min_stage(IlpConfig::default());
+        b.iter(|| {
+            let ctx = SearchContext::with_time_limit(Duration::from_millis(100));
+            black_box(ilp.solve(black_box(&tdg), &net, &eps, &ctx))
+        })
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 
 use hermes_bench::report::{maybe_json, Table};
 use hermes_bench::workload;
-use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer, SplitStrategy};
+use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver, SplitStrategy};
 use hermes_net::topology::table3_wan;
 use hermes_tdg::AnalysisMode;
 use serde::Serialize;

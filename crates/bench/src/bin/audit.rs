@@ -25,8 +25,7 @@ use hermes_bench::report::{maybe_json, Table};
 use hermes_bench::{analyze, workload};
 use hermes_core::test_support::{chain_tdg, tiny_switches};
 use hermes_core::{
-    DeployError, DeploymentAlgorithm, Epsilon, GreedyHeuristic, Portfolio, ProgramAnalyzer,
-    SearchContext,
+    DeployError, Epsilon, GreedyHeuristic, Portfolio, ProgramAnalyzer, SearchContext, Solver,
 };
 use hermes_dataplane::library::aggregation;
 use hermes_dataplane::Mat;

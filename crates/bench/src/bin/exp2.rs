@@ -31,8 +31,8 @@ fn main() {
     let points: Vec<Exp2Point> = (0..TABLE3.len())
         .map(|i| {
             let net = table3_wan(i);
-            let suite = standard_suite(budget);
-            Exp2Point { topology: i + 1, results: run_suite(&tdg, &net, &suite, &config) }
+            let suite = standard_suite();
+            Exp2Point { topology: i + 1, results: run_suite(&tdg, &net, &suite, budget, &config) }
         })
         .collect();
     if maybe_json(&points) {

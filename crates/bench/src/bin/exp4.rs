@@ -26,8 +26,8 @@ fn main() {
     let points: Vec<Exp4Point> = (0..TABLE3.len())
         .map(|i| {
             let net = table3_wan(i);
-            let suite = standard_suite(budget);
-            Exp4Point { topology: i + 1, results: run_suite(&tdg, &net, &suite, &config) }
+            let suite = standard_suite();
+            Exp4Point { topology: i + 1, results: run_suite(&tdg, &net, &suite, budget, &config) }
         })
         .collect();
     if maybe_json(&points) {

@@ -26,8 +26,8 @@ fn main() {
         .iter()
         .map(|&n| {
             let tdg = analyze(&workload(n));
-            let suite = standard_suite(budget);
-            Exp5Point { programs: n, results: run_suite(&tdg, &net, &suite, &config) }
+            let suite = standard_suite();
+            Exp5Point { programs: n, results: run_suite(&tdg, &net, &suite, budget, &config) }
         })
         .collect();
     if maybe_json(&points) {

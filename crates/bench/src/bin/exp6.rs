@@ -12,7 +12,7 @@
 use hermes_baselines::{IlpBaseline, IlpConfig};
 use hermes_bench::report::{maybe_json, Table};
 use hermes_bench::{analyze, ilp_budget};
-use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic};
+use hermes_core::{Epsilon, GreedyHeuristic, SearchContext, Solver};
 use hermes_dataplane::library::sketches;
 use hermes_net::topology;
 use serde::Serialize;
@@ -39,10 +39,10 @@ fn main() {
         plan.placements().iter().map(|p| p.fraction).sum()
     };
     let hermes_plan = GreedyHeuristic::new().deploy(&tdg, &net, &eps).expect("sketches deploy");
-    let speed_plan =
-        IlpBaseline::speed(IlpConfig { time_limit: ilp_budget(5), ..Default::default() })
-            .deploy(&tdg, &net, &eps)
-            .expect("sketches deploy");
+    let speed_plan = IlpBaseline::speed(IlpConfig::default())
+        .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(ilp_budget(5)))
+        .expect("sketches deploy")
+        .plan;
 
     // Clamp float dust: a deployment cannot consume negative extras.
     let extra = |deployed: f64| -> f64 {

@@ -1,20 +1,22 @@
-//! Hot-path bench: before/after evidence for the evaluation-core rewrite.
+//! Hot-path bench for the exact search's evaluation core.
 //!
-//! The exact solver's branch step used to allocate a delta vector and run
-//! a from-scratch Kahn check per candidate, and every accepted leaf
-//! re-materialized the full plan to score it. The rewrite replaces that
-//! with the shared [`IncrementalEval`] (O(delta) objective / acyclicity
-//! maintenance) and the memoized [`StageFeasCache`]. This binary measures:
+//! The exact solver's branch step runs on the shared [`IncrementalEval`]
+//! (O(delta) objective / acyclicity maintenance) and the memoized
+//! [`StageFeasCache`]. This binary measures:
 //!
-//! - **nodes/sec of the bare exact search** — the pre-rewrite search is
-//!   embedded verbatim below ([`baseline`]) so both implementations run in
-//!   the same process on the same workload;
+//! - **nodes/sec of the bare exact search** ([`OptimalSolver::bare`]);
 //! - **heap allocations per branch step**, via a counting global
-//!   allocator (the rewrite's steady-state branch step allocates nothing);
-//! - **time-to-proven-optimal** — old sequential greedy-seed-then-search
-//!   vs the current seeded solver and the 2-thread portfolio race;
+//!   allocator (the steady-state branch step allocates nothing);
+//! - **time-to-proven-optimal** of the seeded solver and the 2-thread
+//!   portfolio race;
 //! - **evaluator micro-ops** — `place`/`unplace` pairs per second against
-//!   a from-scratch rescoring of the same assignment.
+//!   a from-scratch rescoring of the same assignment;
+//! - **thread scaling** of the work-stealing parallel exact search.
+//!
+//! The before/after speedup of the evaluation-core rewrite was measured
+//! against the pre-rewrite search, which this binary once embedded.
+//! `results/BENCH_hotpath.json` keeps that comparison as the historical
+//! record; it is no longer re-run.
 //!
 //! Modes: default prints text tables; `--json` emits the same data as JSON
 //! (recorded as `results/BENCH_hotpath.json`); `--smoke` runs fast
@@ -24,8 +26,8 @@
 use hermes_bench::report::{maybe_json, Table};
 use hermes_bench::{analyze, workload};
 use hermes_core::{
-    materialize, stage_feasible, Epsilon, GreedyHeuristic, IncrementalEval, OptimalSolver,
-    Portfolio, SearchContext, Solver, StageFeasCache,
+    stage_feasible, Epsilon, IncrementalEval, OptimalSolver, Portfolio, SearchContext, Solver,
+    StageFeasCache,
 };
 use hermes_net::{topology, Network};
 use hermes_tdg::{NodeId, Tdg};
@@ -76,203 +78,6 @@ const MEASURE_FLOOR: Duration = Duration::from_millis(500);
 /// Repetitions for the seeded wall-time measurements (minimum is kept).
 const REPS: usize = 3;
 
-/// The pre-rewrite exact search, embedded for an in-process baseline: the
-/// branch step allocates a fresh delta vector, re-runs Kahn from scratch
-/// per candidate, and every surviving leaf re-materializes the plan.
-mod baseline {
-    use super::{materialize, BTreeSet, Epsilon, Network, NodeId, SearchContext, Tdg};
-    use hermes_net::SwitchId;
-
-    pub struct Search<'a> {
-        pub tdg: &'a Tdg,
-        pub net: &'a Network,
-        pub eps: &'a Epsilon,
-        pub order: &'a [NodeId],
-        pub candidates: &'a [SwitchId],
-        pub symmetric: bool,
-        pub assign: Vec<usize>,
-        pub used_capacity: Vec<f64>,
-        pub pair_bytes: Vec<u64>,
-        pub order_edges: Vec<u32>,
-        pub current_max: u64,
-        pub best: u64,
-        pub found: bool,
-        pub explored: u64,
-        pub ctx: &'a SearchContext,
-        pub stopped: bool,
-    }
-
-    impl Search<'_> {
-        fn bound(&self) -> u64 {
-            self.best.min(self.ctx.incumbent_bound())
-        }
-
-        pub fn dfs(&mut self, depth: usize) {
-            if self.stopped {
-                return;
-            }
-            self.explored += 1;
-            if self.ctx.should_stop() {
-                self.stopped = true;
-                return;
-            }
-            if self.current_max >= self.bound() {
-                return;
-            }
-            if depth == self.order.len() {
-                self.accept_leaf();
-                return;
-            }
-            let node = self.order[depth];
-            let q = self.candidates.len();
-            let resource = self.tdg.node(node).mat.resource();
-
-            let used_switches: usize = if self.symmetric {
-                self.assign.iter().filter(|&&a| a != usize::MAX).collect::<BTreeSet<_>>().len()
-            } else {
-                0
-            };
-
-            for c in 0..q {
-                if self.symmetric && c > used_switches {
-                    break;
-                }
-                let sw = self.net.switch(self.candidates[c]);
-                if self.used_capacity[c] + resource > sw.total_capacity() + 1e-9 {
-                    continue;
-                }
-                let opens_new = self.used_capacity[c] == 0.0;
-                if opens_new {
-                    let occupied = self.used_capacity.iter().filter(|&&u| u > 0.0).count();
-                    if occupied + 1 > self.eps.max_switches {
-                        continue;
-                    }
-                }
-
-                let mut delta: Vec<(usize, u64)> = Vec::new();
-                for e in self.tdg.in_edges(node) {
-                    let p = self.assign[e.from.index()];
-                    if p == usize::MAX || p == c {
-                        continue;
-                    }
-                    delta.push((p * q + c, u64::from(e.bytes)));
-                }
-
-                for &(key, _) in &delta {
-                    self.order_edges[key] += 1;
-                }
-                if !self.switch_dag_acyclic() {
-                    for &(key, _) in &delta {
-                        self.order_edges[key] -= 1;
-                    }
-                    continue;
-                }
-
-                let old_max = self.current_max;
-                for &(key, bytes) in &delta {
-                    self.pair_bytes[key] += bytes;
-                    self.current_max = self.current_max.max(self.pair_bytes[key]);
-                }
-                self.used_capacity[c] += resource;
-                self.assign[node.index()] = c;
-
-                self.dfs(depth + 1);
-
-                self.assign[node.index()] = usize::MAX;
-                self.used_capacity[c] -= resource;
-                for &(key, bytes) in &delta {
-                    self.pair_bytes[key] -= bytes;
-                    self.order_edges[key] -= 1;
-                }
-                self.current_max = old_max;
-                if self.stopped {
-                    return;
-                }
-            }
-        }
-
-        #[allow(clippy::needless_range_loop)] // `v` indexes both arrays
-        fn switch_dag_acyclic(&self) -> bool {
-            let q = self.candidates.len();
-            let mut indegree = vec![0u32; q];
-            for u in 0..q {
-                for v in 0..q {
-                    if self.order_edges[u * q + v] > 0 {
-                        indegree[v] += 1;
-                    }
-                }
-            }
-            let mut stack: Vec<usize> = (0..q).filter(|&v| indegree[v] == 0).collect();
-            let mut seen = 0usize;
-            while let Some(u) = stack.pop() {
-                seen += 1;
-                for v in 0..q {
-                    if self.order_edges[u * q + v] > 0 {
-                        indegree[v] -= 1;
-                        if indegree[v] == 0 {
-                            stack.push(v);
-                        }
-                    }
-                }
-            }
-            seen == q
-        }
-
-        fn accept_leaf(&mut self) {
-            let Some(plan) = materialize(self.tdg, self.net, self.candidates, &self.assign) else {
-                return;
-            };
-            if plan.end_to_end_latency_us() > self.eps.max_latency_us {
-                return;
-            }
-            let objective = plan.max_inter_switch_bytes(self.tdg);
-            if objective < self.bound() {
-                self.best = objective;
-                self.found = true;
-                self.ctx.publish_incumbent(objective);
-            }
-        }
-    }
-
-    /// Runs the pre-rewrite bare search to exhaustion or deadline.
-    /// Returns `(nodes_explored, best_objective, exhausted)`.
-    pub fn solve(
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        ctx: &SearchContext,
-    ) -> (u64, Option<u64>, bool) {
-        let candidates = net.programmable_switches();
-        let order = tdg.topo_order().expect("TDGs are DAGs");
-        let q = candidates.len();
-        let symmetric = eps.max_latency_us.is_infinite()
-            && candidates.windows(2).all(|w| {
-                let (a, b) = (net.switch(w[0]), net.switch(w[1]));
-                a.stages == b.stages && (a.stage_capacity - b.stage_capacity).abs() < 1e-12
-            });
-        let mut search = Search {
-            tdg,
-            net,
-            eps,
-            order: &order,
-            candidates: &candidates,
-            symmetric,
-            assign: vec![usize::MAX; tdg.node_count()],
-            used_capacity: vec![0.0; q],
-            pair_bytes: vec![0u64; q * q],
-            order_edges: vec![0u32; q * q],
-            current_max: 0,
-            best: u64::MAX,
-            found: false,
-            explored: 0,
-            ctx,
-            stopped: false,
-        };
-        search.dfs(0);
-        (search.explored, search.found.then_some(search.best), !search.stopped)
-    }
-}
-
 #[derive(Serialize)]
 struct BareRun {
     nodes_explored: u64,
@@ -288,17 +93,11 @@ struct BareRun {
 struct Scenario {
     topology: String,
     tdg_nodes: usize,
-    /// Pre-rewrite bare search (embedded baseline).
-    before_bare: BareRun,
-    /// Current bare search ([`OptimalSolver::bare`]).
+    /// Bare search ([`OptimalSolver::bare`]).
     after_bare: BareRun,
-    nodes_per_sec_speedup: f64,
-    /// Old sequential pipeline: greedy seed, then the baseline search to
-    /// exhaustion (its time-to-proven-optimal).
-    before_seeded_ms: f64,
-    /// Current seeded [`OptimalSolver`] to proven optimality.
+    /// Seeded [`OptimalSolver`] to proven optimality.
     after_seeded_ms: f64,
-    /// Current 2-thread portfolio's earliest proven-optimal moment.
+    /// 2-thread portfolio's earliest proven-optimal moment.
     after_portfolio_proven_ms: Option<f64>,
 }
 
@@ -308,8 +107,7 @@ struct MicroOps {
     /// One op = `place` + `unplace` of a random node on [`IncrementalEval`].
     incremental_ns_per_op: f64,
     incremental_allocs_per_op: f64,
-    /// The same op scored by a from-scratch edge scan (what the pre-rewrite
-    /// code paths effectively did per probe).
+    /// The same op scored by a from-scratch edge scan.
     scratch_ns_per_op: f64,
     speedup: f64,
 }
@@ -378,14 +176,6 @@ fn sustained(
     (nodes, wall, allocs, objective, exhausted)
 }
 
-fn bare_before(tdg: &Tdg, net: &Network, eps: &Epsilon) -> BareRun {
-    let (nodes, wall, allocs, objective, exhausted) = sustained(|| {
-        let ctx = SearchContext::with_time_limit(BARE_BUDGET);
-        baseline::solve(tdg, net, eps, &ctx)
-    });
-    run_stats(nodes, wall, allocs, objective, exhausted)
-}
-
 fn bare_after(tdg: &Tdg, net: &Network, eps: &Epsilon) -> BareRun {
     let (nodes, wall, allocs, objective, exhausted) = sustained(|| {
         let ctx = SearchContext::with_time_limit(BARE_BUDGET);
@@ -437,18 +227,7 @@ fn bench_scenario(name: &str, net: &Network) -> Scenario {
     let tdg = analyze(&workload(10));
     let eps = Epsilon::loose();
 
-    let before_bare = bare_before(&tdg, net, &eps);
     let after_bare = bare_after(&tdg, net, &eps);
-
-    // Old sequential pipeline to proven optimality: greedy publishes the
-    // incumbent, then the baseline search runs to exhaustion.
-    let before_seeded_ms = min_wall_ms(|| {
-        let ctx = SearchContext::with_time_limit(Duration::from_secs(60));
-        let start = Instant::now();
-        GreedyHeuristic::new().solve(&tdg, net, &eps, &ctx).expect("workload is feasible");
-        let _ = baseline::solve(&tdg, net, &eps, &ctx);
-        start.elapsed()
-    });
     let after_seeded_ms = min_wall_ms(|| {
         OptimalSolver::new()
             .solve(&tdg, net, &eps, &SearchContext::with_time_limit(Duration::from_secs(60)))
@@ -471,11 +250,7 @@ fn bench_scenario(name: &str, net: &Network) -> Scenario {
     Scenario {
         topology: name.to_owned(),
         tdg_nodes: tdg.node_count(),
-        nodes_per_sec_speedup: after_bare.nodes_per_sec
-            / before_bare.nodes_per_sec.max(f64::EPSILON),
-        before_bare,
         after_bare,
-        before_seeded_ms,
         after_seeded_ms,
         after_portfolio_proven_ms: proven.map(|d| d.as_secs_f64() * 1000.0),
     }
@@ -551,8 +326,8 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// From-scratch `A_max` of an assignment — the per-probe cost the old
-/// refine/solver paths paid via `max_inter_switch_bytes` recomputation.
+/// From-scratch `A_max` of an assignment — the per-probe cost of a
+/// `max_inter_switch_bytes` recomputation.
 fn scratch_amax(tdg: &Tdg, assign: &[usize], q: usize) -> u64 {
     let mut pair = vec![0u64; q * q];
     for e in tdg.edges() {
@@ -765,31 +540,20 @@ fn main() {
     }
 
     println!("Hot-path bench — ten-program library, bare budget {BARE_BUDGET:?}\n");
-    let mut t = Table::new([
-        "topology",
-        "before nodes/s",
-        "after nodes/s",
-        "speedup",
-        "before allocs/node",
-        "after allocs/node",
-    ]);
+    let mut t = Table::new(["topology", "nodes/s", "allocs/node"]);
     for s in &report.scenarios {
         t.row([
             s.topology.clone(),
-            format!("{:.0}", s.before_bare.nodes_per_sec),
             format!("{:.0}", s.after_bare.nodes_per_sec),
-            format!("{:.2}x", s.nodes_per_sec_speedup),
-            format!("{:.2}", s.before_bare.allocs_per_node),
             format!("{:.3}", s.after_bare.allocs_per_node),
         ]);
     }
     println!("(a) bare exact search throughput\n{}", t.render());
 
-    let mut p = Table::new(["topology", "before seeded ms", "after seeded ms", "portfolio ms"]);
+    let mut p = Table::new(["topology", "seeded ms", "portfolio ms"]);
     for s in &report.scenarios {
         p.row([
             s.topology.clone(),
-            format!("{:.2}", s.before_seeded_ms),
             format!("{:.2}", s.after_seeded_ms),
             s.after_portfolio_proven_ms.map_or("-".into(), |ms| format!("{ms:.2}")),
         ]);

@@ -14,7 +14,7 @@
 
 use hermes_bench::analyze;
 use hermes_bench::report::{maybe_json, Table};
-use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic};
+use hermes_core::{Epsilon, GreedyHeuristic, Solver};
 use hermes_dataplane::library;
 use hermes_net::topology;
 use hermes_runtime::{

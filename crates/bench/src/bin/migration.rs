@@ -25,8 +25,8 @@
 use hermes_bench::report::{maybe_json, Table};
 use hermes_core::test_support::chain_tdg;
 use hermes_core::{
-    DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer, MigrationOrder,
-    MigrationProblem, MigrationScheduler, RedeployOptions, SearchContext,
+    Epsilon, GreedyHeuristic, IncrementalDeployer, MigrationOrder, MigrationProblem,
+    MigrationScheduler, RedeployOptions, SearchContext, Solver,
 };
 use hermes_net::{topology, Network, SwitchId};
 use hermes_runtime::{DeploymentRuntime, FaultInjector, MigrationConfig, RetryPolicy};

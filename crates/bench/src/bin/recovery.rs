@@ -21,8 +21,8 @@
 
 use hermes_bench::report::{maybe_json, Table};
 use hermes_core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    ProgramAnalyzer, RedeployOptions,
+    DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer,
+    RedeployOptions, Solver,
 };
 use hermes_dataplane::library;
 use hermes_net::{topology, Network};

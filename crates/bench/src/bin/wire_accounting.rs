@@ -14,7 +14,7 @@ use hermes_backend::{
 use hermes_baselines::standard_suite;
 use hermes_bench::report::{maybe_json, Table};
 use hermes_bench::{analyze, ilp_budget, workload};
-use hermes_core::Epsilon;
+use hermes_core::{Epsilon, SearchContext};
 use hermes_net::topology;
 use serde::Serialize;
 
@@ -35,8 +35,10 @@ fn main() {
     let config = PlanFlowConfig { packets: 5_000, ..Default::default() };
 
     let mut rows = Vec::new();
-    for algo in standard_suite(ilp_budget(3)) {
-        let Ok(plan) = algo.deploy(&tdg, &net, &eps) else {
+    let budget = ilp_budget(3);
+    for algo in standard_suite() {
+        let ctx = SearchContext::with_time_limit(budget);
+        let Ok(plan) = algo.solve(&tdg, &net, &eps, &ctx).map(|o| o.plan) else {
             continue;
         };
         let artifacts = generate(&tdg, &net, &plan);

@@ -23,7 +23,7 @@
 
 pub mod report;
 
-use hermes_core::{DeploymentAlgorithm, Epsilon, ProgramAnalyzer};
+use hermes_core::{Epsilon, ProgramAnalyzer, SearchContext, Solver};
 use hermes_dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes_dataplane::{library, Program};
 use hermes_net::Network;
@@ -111,11 +111,13 @@ impl Default for RunConfig {
 }
 
 /// Runs every algorithm in `suite` on `(tdg, net)` and gathers the four
-/// panel metrics (overhead, time, FCT, goodput).
+/// panel metrics (overhead, time, FCT, goodput). Each solve runs under a
+/// fresh [`SearchContext`] whose deadline is `budget` (see [`ilp_budget`]).
 pub fn run_suite(
     tdg: &Tdg,
     net: &Network,
-    suite: &[Box<dyn DeploymentAlgorithm>],
+    suite: &[Box<dyn Solver>],
+    budget: Duration,
     config: &RunConfig,
 ) -> Vec<Measurement> {
     let q = net.programmable_switches().len();
@@ -136,9 +138,10 @@ pub fn run_suite(
             let mut plan = None;
             for _ in 0..config.timing_runs.max(1) {
                 let start = Instant::now();
-                let result = algo.deploy(tdg, net, &config.eps);
+                let result =
+                    algo.solve(tdg, net, &config.eps, &SearchContext::with_time_limit(budget));
                 total += start.elapsed();
-                plan = result.ok();
+                plan = result.ok().map(|o| o.plan);
             }
             let measured_ms = total.as_secs_f64() * 1000.0 / config.timing_runs.max(1) as f64;
             let capped =
@@ -196,12 +199,12 @@ mod tests {
     fn run_suite_produces_all_metrics() {
         let tdg = analyze(&workload(3));
         let net = topology::linear(3, 10.0);
-        let suite = standard_suite(Duration::from_millis(500));
+        let suite = standard_suite();
         let config = RunConfig {
             sim: TestbedConfig { packets: 200, ..Default::default() },
             ..Default::default()
         };
-        let rows = run_suite(&tdg, &net, &suite, &config);
+        let rows = run_suite(&tdg, &net, &suite, Duration::from_millis(500), &config);
         assert_eq!(rows.len(), suite.len());
         for r in &rows {
             assert!(r.overhead_bytes.is_some(), "{} infeasible", r.algorithm);

@@ -18,9 +18,9 @@ use hermes_backend::config::generate;
 use hermes_backend::simulate::{simulate_plan, PlanFlowConfig};
 use hermes_baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
 use hermes_core::{
-    explain, verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    MigrationOrder, MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver, Portfolio,
-    ProgramAnalyzer, RedeployOptions, SearchContext,
+    explain, verify, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer, MigrationOrder,
+    MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver, Portfolio, ProgramAnalyzer,
+    RedeployOptions, SearchContext, Solver,
 };
 use hermes_dataplane::lint::lint_composition;
 use hermes_dataplane::parser::parse_programs;
@@ -319,51 +319,50 @@ impl From<UnknownSolverError> for CliError {
     }
 }
 
-/// Looks a solver up by `--solver` name; every returned solver's budget
-/// flows through a `SearchContext` built from `time_limit`.
+/// Looks a solver up by `--solver` name. Solvers hold no budget: the
+/// commands bound every solve with a [`SearchContext`] built from
+/// `--time-limit` and `--threads`.
 ///
 /// # Errors
 ///
 /// Returns [`UnknownSolverError`] listing the valid set on unknown names.
-pub fn solver(
-    name: &str,
-    time_limit: Duration,
-) -> Result<Box<dyn DeploymentAlgorithm>, UnknownSolverError> {
-    solver_with_threads(name, time_limit, None)
-}
-
-/// Like [`solver`], but also stamps a worker budget for parallel searches
-/// onto the returned solver's [`SearchContext`] (`None` = available
-/// parallelism). Single-threaded solvers ignore the budget.
-///
-/// # Errors
-///
-/// Returns [`UnknownSolverError`] listing the valid set on unknown names.
-pub fn solver_with_threads(
-    name: &str,
-    time_limit: Duration,
-    threads: Option<std::num::NonZeroUsize>,
-) -> Result<Box<dyn DeploymentAlgorithm>, UnknownSolverError> {
-    let config = IlpConfig { time_limit, ..Default::default() };
+pub fn solver(name: &str) -> Result<Box<dyn Solver>, UnknownSolverError> {
+    let config = IlpConfig::default();
     Ok(match name.to_ascii_lowercase().as_str() {
         "greedy" | "hermes" => Box::new(GreedyHeuristic::new()),
-        "exact" | "optimal" => {
-            Box::new(Budgeted::new(OptimalSolver::default(), time_limit).with_threads(threads))
-        }
-        "milp" | "ilp" => Box::new(Budgeted::new(MilpHermes::default(), time_limit)),
-        "portfolio" => {
-            Box::new(Budgeted::new(Portfolio::greedy_exact(), time_limit).with_threads(threads))
-        }
+        "exact" | "optimal" => Box::new(OptimalSolver::default()),
+        "milp" | "ilp" => Box::new(MilpHermes::default()),
+        "portfolio" => Box::new(Portfolio::greedy_exact()),
         "ffl" => Box::new(FirstFitByLevel),
         "ffls" => Box::new(FirstFitByLevelAndSize),
         "ms" | "min-stage" => Box::new(IlpBaseline::min_stage(config)),
-        "sonata" => Box::new(Sonata::new(config)),
+        "sonata" => Box::new(Sonata),
         "speed" => Box::new(IlpBaseline::speed(config)),
         "mtp" => Box::new(IlpBaseline::mtp(config)),
         "fp" | "flightplan" => Box::new(IlpBaseline::flightplan(config)),
         "p4all" => Box::new(IlpBaseline::p4all(config)),
         other => return Err(UnknownSolverError { given: other.to_owned() }),
     })
+}
+
+/// Plans `tdg` with solver `name` under a fresh [`SearchContext`] built
+/// from `--time-limit` and `--threads`; `role` suffixes the error message.
+fn plan_with(
+    options: &Options,
+    name: &str,
+    role: &str,
+    tdg: &hermes_tdg::Tdg,
+    net: &Network,
+    eps: &Epsilon,
+) -> Result<DeploymentPlan, CliError> {
+    let algo = solver(name)?;
+    let mut ctx = SearchContext::with_time_limit(Duration::from_secs(options.time_limit_secs));
+    if let Some(threads) = options.threads {
+        ctx = ctx.with_threads(threads);
+    }
+    algo.solve(tdg, net, eps, &ctx)
+        .map(|o| o.plan)
+        .map_err(|e| err(format!("{} failed{role}: {e}", algo.name())))
 }
 
 /// Parsed command line.
@@ -383,8 +382,8 @@ pub struct Options {
     pub eps2: usize,
     /// Solver time limit in seconds.
     pub time_limit_secs: u64,
-    /// Worker budget for the parallel exact search (deploy). `None` =
-    /// all available cores.
+    /// Worker budget for the parallel exact search (deploy, simulate,
+    /// chaos, migrate). `None` = all available cores.
     pub threads: Option<std::num::NonZeroUsize>,
     /// Emit Graphviz dot (analyze).
     pub dot: bool,
@@ -536,10 +535,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         };
         match arg.as_str() {
             "--topology" => options.topology = value(&mut iter)?,
-            // `--algorithm` is the pre-unification spelling, kept as alias.
-            "--solver" | "--algorithm" => {
+            "--solver" => {
                 let name = value(&mut iter)?;
-                solver(&name, Duration::from_secs(1)).map_err(|e| err(e.to_string()))?;
+                solver(&name)?;
                 options.solver = name;
             }
             "--eps1" => {
@@ -550,8 +548,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 options.eps2 =
                     value(&mut iter)?.parse().map_err(|_| err("--eps2 needs an integer"))?
             }
-            // `--budget` is the pre-unification spelling, kept as alias.
-            "--time-limit" | "--budget" => {
+            "--time-limit" => {
                 options.time_limit_secs =
                     value(&mut iter)?.parse().map_err(|_| err("--time-limit needs seconds"))?
             }
@@ -582,7 +579,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             }
             "--from-solver" => {
                 let name = value(&mut iter)?;
-                solver(&name, Duration::from_secs(1)).map_err(|e| err(e.to_string()))?;
+                solver(&name)?;
                 options.from_solver = name;
             }
             "--order" => {
@@ -852,10 +849,7 @@ fn run_migrate(
     let order = resolve_order(&parse_order(&options.order)?, &net)?;
     let time_limit = Duration::from_secs(options.time_limit_secs);
 
-    let from_algo = solver(&options.from_solver, time_limit)?;
-    let plan_a = from_algo
-        .deploy(tdg, &net, &eps)
-        .map_err(|e| err(format!("{} failed for plan A: {e}", from_algo.name())))?;
+    let plan_a = plan_with(options, &options.from_solver, " for plan A", tdg, &net, &eps)?;
     let plan_b = match options.exclude {
         Some(idx) => {
             let ids: Vec<SwitchId> = net.switch_ids().collect();
@@ -879,11 +873,7 @@ fn run_migrate(
             .map_err(io)?;
             outcome.plan
         }
-        None => {
-            let algo = solver(&options.solver, time_limit)?;
-            algo.deploy(tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed for plan B: {e}", algo.name())))?
-        }
+        None => plan_with(options, &options.solver, " for plan B", tdg, &net, &eps)?,
     };
 
     // Plan A goes in over a clean control plane; only the migration
@@ -1023,14 +1013,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
         "deploy" => {
             let net = parse_network(options)?;
             let eps = Epsilon::new(options.eps1, options.eps2);
-            let algo = solver_with_threads(
-                &options.solver,
-                Duration::from_secs(options.time_limit_secs),
-                options.threads,
-            )?;
-            let plan = algo
-                .deploy(&tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
+            let plan = plan_with(options, &options.solver, "", &tdg, &net, &eps)?;
             let violations = verify(&tdg, &net, &plan, &eps);
             if !violations.is_empty() {
                 return Err(err(format!("plan failed verification: {violations:?}")));
@@ -1065,14 +1048,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
         "simulate" => {
             let net = parse_network(options)?;
             let eps = Epsilon::new(options.eps1, options.eps2);
-            let algo = solver_with_threads(
-                &options.solver,
-                Duration::from_secs(options.time_limit_secs),
-                options.threads,
-            )?;
-            let plan = algo
-                .deploy(&tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
+            let plan = plan_with(options, &options.solver, "", &tdg, &net, &eps)?;
             let artifacts = generate(&tdg, &net, &plan);
             let result = simulate_plan(&tdg, &net, &plan, &artifacts, &PlanFlowConfig::default())
                 .ok_or_else(|| err("plan could not be simulated (empty or unroutable)"))?;
@@ -1092,14 +1068,7 @@ pub fn run(options: &Options, out: &mut dyn std::io::Write) -> Result<(), CliErr
             let net = parse_network(options)?;
             let eps = Epsilon::new(options.eps1, options.eps2);
             let channel = parse_channel(&options.channel)?;
-            let algo = solver_with_threads(
-                &options.solver,
-                Duration::from_secs(options.time_limit_secs),
-                options.threads,
-            )?;
-            let plan = algo
-                .deploy(&tdg, &net, &eps)
-                .map_err(|e| err(format!("{} failed: {e}", algo.name())))?;
+            let plan = plan_with(options, &options.solver, "", &tdg, &net, &eps)?;
             if let Some(trials) = options.trials {
                 if options.journal.is_some() {
                     return Err(err("--journal wants a single run, not --trials"));
@@ -1199,15 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flag_spellings_still_parse() {
-        let options =
-            parse_args(&args(&["deploy", "a.p4dsl", "--algorithm", "hermes", "--budget", "3"]))
-                .unwrap();
-        assert_eq!(options.solver, "hermes");
-        assert_eq!(options.time_limit_secs, 3);
-    }
-
-    #[test]
     fn unknown_solver_is_rejected_at_parse_time_with_the_valid_set() {
         let e = parse_args(&args(&["deploy", "a.p4dsl", "--solver", "gurobi"])).unwrap_err();
         assert!(e.0.contains("unknown solver `gurobi`"), "{e}");
@@ -1262,6 +1222,9 @@ mod tests {
     fn rejects_unknown_command_and_flags() {
         assert!(parse_args(&args(&["frobnicate", "x"])).is_err());
         assert!(parse_args(&args(&["deploy", "x", "--wat"])).is_err());
+        // The pre-unification spellings of --solver and --time-limit.
+        assert!(parse_args(&args(&["deploy", "x", "--algorithm", "hermes"])).is_err());
+        assert!(parse_args(&args(&["deploy", "x", "--budget", "3"])).is_err());
         assert!(parse_args(&args(&["deploy"])).is_err());
         assert!(parse_args(&args(&[])).is_err());
     }
@@ -1345,16 +1308,37 @@ mod tests {
         assert!(e.to_string().contains("not a probability"), "{e}");
     }
 
+    /// The context is the only budget: under an already-expired deadline
+    /// every solver returns promptly with a plan or a typed error.
+    #[test]
+    fn every_solver_honours_a_zero_budget() {
+        let library = hermes_dataplane::library::real_programs();
+        let (tdg, net) = hermes_core::test_support::linear_testbed(&library[..5]);
+        let eps = Epsilon::loose();
+        let named = SOLVER_NAMES.iter().map(|name| solver(name).unwrap());
+        for algo in named.chain(hermes_baselines::standard_suite()) {
+            let ctx = SearchContext::with_time_limit(Duration::ZERO);
+            let start = std::time::Instant::now();
+            let result = algo.solve(&tdg, &net, &eps, &ctx);
+            let wall = start.elapsed();
+            assert!(wall < Duration::from_secs(1), "{} ran {wall:?}", algo.name());
+            if let Ok(outcome) = result {
+                let violations = verify(&tdg, &net, &outcome.plan, &eps);
+                assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
+            }
+        }
+    }
+
     #[test]
     fn solver_lookup() {
         for name in SOLVER_NAMES {
-            assert!(solver(name, Duration::from_secs(1)).is_ok(), "{name}");
+            assert!(solver(name).is_ok(), "{name}");
         }
         // Aliases from before the unification keep working.
         for alias in ["hermes", "optimal", "ilp", "min-stage", "flightplan"] {
-            assert!(solver(alias, Duration::from_secs(1)).is_ok(), "{alias}");
+            assert!(solver(alias).is_ok(), "{alias}");
         }
-        let e = match solver("gurobi", Duration::from_secs(1)) {
+        let e = match solver("gurobi") {
             Err(e) => e,
             Ok(_) => panic!("`gurobi` accepted"),
         };

@@ -6,7 +6,7 @@
 //! coordinated packets to `v` along path `p`), plus the derived metrics
 //! the objectives are written over: `A_max`, `t_e2e`, and `Q_occ`.
 
-use hermes_net::{Network, Path, SwitchId};
+use hermes_net::{Path, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -249,6 +249,22 @@ impl Default for Epsilon {
     }
 }
 
+/// `eps1=<us> us, eps2=<n>`, with `unbounded` for the loose sentinels.
+impl fmt::Display for Epsilon {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.max_latency_us == f64::INFINITY {
+            f.write_str("eps1=unbounded")?;
+        } else {
+            write!(f, "eps1={} us", self.max_latency_us)?;
+        }
+        if self.max_switches == usize::MAX {
+            f.write_str(", eps2=unbounded")
+        } else {
+            write!(f, ", eps2={}", self.max_switches)
+        }
+    }
+}
+
 /// Errors shared by every deployment algorithm.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DeployError {
@@ -306,33 +322,6 @@ impl fmt::Display for DeployError {
 }
 
 impl std::error::Error for DeployError {}
-
-/// The interface every deployment framework (Hermes and all baselines)
-/// implements, so experiments can sweep algorithms uniformly.
-pub trait DeploymentAlgorithm {
-    /// Short display name used in experiment tables (e.g. `"Hermes"`).
-    fn name(&self) -> &str;
-
-    /// Produces a deployment of `tdg` onto `net` under the ε-bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] when no feasible deployment exists.
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError>;
-
-    /// `true` for solver-backed frameworks whose running time explodes
-    /// with instance size (ILP solvers, exhaustive search). Experiment
-    /// harnesses cap their reported times the way the paper caps its
-    /// execution-time bars at two hours.
-    fn is_exhaustive(&self) -> bool {
-        false
-    }
-}
 
 #[cfg(test)]
 mod tests {

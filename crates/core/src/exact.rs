@@ -60,10 +60,10 @@
 //! execution-time experiment (Exp#3) uses to flag timed-out ILP-style
 //! runs.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon, PlanRoute};
 use crate::eval::IncrementalEval;
 use crate::heuristic::GreedyHeuristic;
-use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET};
+use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver};
 use crate::stage_assign::{assign_stages, Packing};
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::{NodeId, Tdg};
@@ -332,6 +332,14 @@ impl OptimalSolver {
 }
 
 impl Solver for OptimalSolver {
+    fn name(&self) -> &str {
+        "Optimal"
+    }
+
+    fn is_exhaustive(&self) -> bool {
+        true
+    }
+
     fn solve(
         &self,
         tdg: &Tdg,
@@ -340,26 +348,6 @@ impl Solver for OptimalSolver {
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
         self.solve_instrumented(tdg, net, eps, ctx).0
-    }
-}
-
-impl DeploymentAlgorithm for OptimalSolver {
-    fn name(&self) -> &str {
-        "Optimal"
-    }
-
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.solve(tdg, net, eps, &SearchContext::with_time_limit(DEFAULT_DEPLOY_BUDGET))
-            .map(|o| o.plan)
-    }
-
-    fn is_exhaustive(&self) -> bool {
-        true
     }
 }
 

@@ -12,8 +12,8 @@
 //!    when enough candidates exist, map the `i`-th segment to the `i`-th
 //!    candidate and wire consecutive segments with latency-shortest paths.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
-use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon, PlanRoute};
+use crate::solver::{SearchContext, SolveOutcome, Solver};
 use crate::stage_assign::{assign_stages, fits_total_capacity};
 use crate::stage_cache::StageFeasCache;
 use hermes_net::{nearest_programmable, shortest_path, Network, SwitchId, TargetModel};
@@ -40,7 +40,7 @@ pub enum SplitStrategy {
 /// # Examples
 ///
 /// ```
-/// use hermes_core::{GreedyHeuristic, DeploymentAlgorithm, Epsilon};
+/// use hermes_core::{Epsilon, GreedyHeuristic, Solver};
 /// use hermes_dataplane::library;
 /// use hermes_net::topology;
 /// use hermes_tdg::{merge_all, AnalysisMode, Tdg};
@@ -409,7 +409,7 @@ fn coalesce(
 /// Maximum accepted single-node moves of the refinement pass per deploy.
 const REFINE_BUDGET: usize = 2_000;
 
-impl DeploymentAlgorithm for GreedyHeuristic {
+impl Solver for GreedyHeuristic {
     fn name(&self) -> &str {
         match self.strategy {
             SplitStrategy::MinMetadata => "Hermes",
@@ -418,17 +418,6 @@ impl DeploymentAlgorithm for GreedyHeuristic {
         }
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.deploy_inner(tdg, net, eps, None)
-    }
-}
-
-impl Solver for GreedyHeuristic {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -437,34 +426,21 @@ impl Solver for GreedyHeuristic {
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError> {
         let start = Instant::now();
-        let plan = self.deploy_inner(tdg, net, eps, Some(ctx))?;
-        let objective = plan.max_inter_switch_bytes(tdg);
-        ctx.publish_incumbent(objective);
-        Ok(SolveOutcome {
-            plan,
-            objective,
-            // Zero bytes is a global lower bound, so a zero-overhead plan
-            // is optimal; otherwise the heuristic proves nothing.
-            proven_optimal: objective == 0,
-            stats: SolveStats {
-                nodes_explored: 0,
-                wall: start.elapsed(),
-                proven_bound: (objective == 0).then_some(0),
-            },
-        })
+        let plan = self.deploy_inner(tdg, net, eps, ctx)?;
+        Ok(SolveOutcome::constructed(plan, tdg, ctx, start))
     }
 }
 
 impl GreedyHeuristic {
-    /// The full deploy pipeline; when racing in a portfolio (`ctx` set),
-    /// the pre-refinement plan's objective is published as an incumbent
-    /// before the refinement pass starts hill-climbing.
+    /// The full deploy pipeline; the pre-refinement plan's objective is
+    /// published to `ctx` as an incumbent before the refinement pass
+    /// starts hill-climbing, so portfolio racers can prune against it.
     fn deploy_inner(
         &self,
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
-        ctx: Option<&SearchContext>,
+        ctx: &SearchContext,
     ) -> Result<DeploymentPlan, DeployError> {
         let programmable = net.programmable_switches();
         if programmable.is_empty() {
@@ -519,11 +495,9 @@ impl GreedyHeuristic {
         }
         Err(DeployError::NoFeasiblePlacement {
             reason: format!(
-                "{} segments need {} candidate switches within eps2={} / eps1={} us",
+                "{} segments, at most {} candidate switches ({eps}): no anchor fits them",
                 segments.len(),
-                segments.len(),
-                eps.max_switches,
-                eps.max_latency_us
+                eps.max_switches.min(programmable.len()),
             ),
         })
     }
@@ -532,20 +506,18 @@ impl GreedyHeuristic {
 impl GreedyHeuristic {
     /// Local-search refinement is part of the full Hermes pipeline; the
     /// ablation split strategies stay unrefined so their comparisons
-    /// isolate the splitting objective. With a [`SearchContext`] present
-    /// the unrefined plan's objective is published *before* refinement —
-    /// the "publish early" half of the anytime-portfolio contract.
+    /// isolate the splitting objective. The unrefined plan's objective is
+    /// published *before* refinement — the "publish early" half of the
+    /// anytime-portfolio contract.
     fn maybe_refine(
         &self,
         tdg: &Tdg,
         net: &Network,
         plan: DeploymentPlan,
         eps: &Epsilon,
-        ctx: Option<&SearchContext>,
+        ctx: &SearchContext,
     ) -> DeploymentPlan {
-        if let Some(ctx) = ctx {
-            ctx.publish_incumbent(plan.max_inter_switch_bytes(tdg));
-        }
+        ctx.publish_incumbent(plan.max_inter_switch_bytes(tdg));
         match self.strategy {
             SplitStrategy::MinMetadata => crate::refine::refine(tdg, net, plan, eps, REFINE_BUDGET),
             _ => plan,
@@ -860,5 +832,29 @@ mod tests {
         let net = topology::linear(2, 10.0);
         let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
         assert_eq!(plan.placements().len(), 0);
+    }
+
+    #[test]
+    fn infeasibility_message_counts_segments_against_candidates() {
+        use crate::test_support::{chain_tdg, tiny_switches};
+        fn reason(tdg: &Tdg, net: &Network, eps: &Epsilon) -> String {
+            match GreedyHeuristic::new().deploy(tdg, net, eps) {
+                Err(DeployError::NoFeasiblePlacement { reason }) => reason,
+                other => panic!("unexpected result: {other:?}"),
+            }
+        }
+        // Loose bounds: eight chained 0.5 MATs need four 2-stage switches.
+        let long = chain_tdg(&[1; 7], 0.5);
+        assert_eq!(
+            reason(&long, &tiny_switches(3, 2, 0.5), &Epsilon::loose()),
+            "4 segments, at most 3 candidate switches (eps1=unbounded, eps2=unbounded): \
+             no anchor fits them"
+        );
+        // Tight bounds: four MATs need two switches, eps2 allows one.
+        let short = chain_tdg(&[1; 3], 0.5);
+        assert_eq!(
+            reason(&short, &tiny_switches(3, 2, 0.5), &Epsilon::new(40.0, 1)),
+            "2 segments, at most 1 candidate switches (eps1=40 us, eps2=1): no anchor fits them"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! feasibility, and the established switch visit order — and falls back
 //! to a full redeploy only when the pinned placement is infeasible.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanRoute};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon, PlanRoute};
 use crate::heuristic::{placement_order, GreedyHeuristic};
 use crate::solver::{Portfolio, SearchContext, Solver};
 use crate::stage_assign::{assign_stages, stage_feasible};

@@ -23,7 +23,7 @@
 //! # Quick start
 //!
 //! ```
-//! use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+//! use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 //! use hermes_dataplane::library;
 //! use hermes_net::topology;
 //!
@@ -60,8 +60,7 @@ pub mod verify;
 
 pub use analyzer::ProgramAnalyzer;
 pub use deployment::{
-    DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon, PlanMetrics, PlanRoute,
-    StagePlacement,
+    DeployError, DeploymentPlan, Epsilon, PlanMetrics, PlanRoute, StagePlacement,
 };
 pub use eval::IncrementalEval;
 pub use exact::{materialize, OptimalSolver};
@@ -77,8 +76,8 @@ pub use precheck::{Certificate, Precheck};
 pub use refine::refine;
 pub use report::{diff, explain, PlanDiff};
 pub use solver::{
-    Budgeted, CancelToken, Portfolio, RaceReport, RacerReport, SearchContext, SolveOutcome,
-    SolveStats, Solver, DEFAULT_DEPLOY_BUDGET, NO_BOUND,
+    CancelToken, Portfolio, RaceReport, RacerReport, SearchContext, SolveOutcome, SolveStats,
+    Solver, DEFAULT_DEPLOY_BUDGET, NO_BOUND,
 };
 pub use stage_assign::{assign_stages, fits_total_capacity, stage_feasible, StageAssignError};
 pub use stage_cache::{StageCacheStats, StageFeasCache};

@@ -20,18 +20,16 @@
 //! runs to its time budget and returns the incumbent — the behaviour the
 //! execution-time experiment (Exp#3) measures.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
 use crate::exact::materialize;
-use crate::solver::{
-    SearchContext, SolveOutcome, SolveStats, Solver, DEFAULT_DEPLOY_BUDGET, NO_BOUND,
-};
+use crate::solver::{SearchContext, SolveOutcome, SolveStats, Solver, NO_BOUND};
 use hermes_milp::{
     solve_with_controls, Direction, LinExpr, Model, Sense, SolveControls, SolveStatus,
     SolverConfig, VarId,
 };
 use hermes_net::{shortest_path, Network, SwitchId};
 use hermes_tdg::Tdg;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Variable handles of a built P#1 model.
 #[derive(Debug, Clone)]
@@ -198,26 +196,21 @@ fn hermes_node(tdg: &Tdg, index: usize) -> hermes_tdg::NodeId {
 
 /// Hermes solved through the MILP formulation — the "Optimal (Gurobi)"
 /// configuration of the paper, backed by `hermes-milp`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MilpHermes {
-    /// Branch-and-bound budget.
+    /// Branch-and-bound knobs (node limit, gap, tolerances). Its
+    /// `time_limit` is ignored: the [`SearchContext`] owns the budget.
     pub config: SolverConfig,
 }
 
-impl Default for MilpHermes {
-    fn default() -> Self {
-        MilpHermes { config: SolverConfig::with_time_limit(Duration::from_secs(60)) }
-    }
-}
-
 impl MilpHermes {
-    /// MILP-backed Hermes with the given solve budget.
+    /// MILP-backed Hermes with the given branch-and-bound knobs.
     pub fn new(config: SolverConfig) -> Self {
         MilpHermes { config }
     }
 }
 
-impl DeploymentAlgorithm for MilpHermes {
+impl Solver for MilpHermes {
     fn name(&self) -> &str {
         "Hermes-MILP"
     }
@@ -226,19 +219,6 @@ impl DeploymentAlgorithm for MilpHermes {
         true
     }
 
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        let budget = self.config.time_limit.unwrap_or(DEFAULT_DEPLOY_BUDGET);
-        let ctx = SearchContext::with_time_limit(budget);
-        Solver::solve(self, tdg, net, eps, &ctx).map(|outcome| outcome.plan)
-    }
-}
-
-impl Solver for MilpHermes {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -264,8 +244,7 @@ impl Solver for MilpHermes {
             });
         }
         let (model, vars) = build_p1(tdg, net, eps);
-        // The context owns the budget: a configured time limit only applies
-        // on the legacy `deploy` path, never underneath a `SearchContext`.
+        // The context owns the budget: a configured time limit never applies.
         let mut config = self.config.clone();
         config.time_limit = None;
         let controls = SolveControls {
@@ -334,6 +313,7 @@ mod tests {
     use super::*;
     use crate::exact::OptimalSolver;
     use crate::test_support::{chain_tdg, tiny_switches};
+    use std::time::Duration;
 
     #[test]
     fn milp_matches_exact_on_figure1() {

@@ -129,8 +129,8 @@ pub fn refine(
 mod tests {
     use super::*;
     use crate::analyzer::ProgramAnalyzer;
-    use crate::deployment::DeploymentAlgorithm;
     use crate::heuristic::GreedyHeuristic;
+    use crate::solver::Solver;
     use crate::verify::verify;
     use hermes_dataplane::library;
     use hermes_net::topology;

@@ -127,9 +127,10 @@ pub fn diff(
 mod tests {
     use super::*;
     use crate::analyzer::ProgramAnalyzer;
-    use crate::deployment::{DeploymentAlgorithm, Epsilon};
+    use crate::deployment::Epsilon;
     use crate::heuristic::GreedyHeuristic;
     use crate::incremental::IncrementalDeployer;
+    use crate::solver::Solver;
     use hermes_dataplane::library;
     use hermes_net::topology;
 

@@ -3,10 +3,17 @@
 //!
 //! Every optimizer in the workspace — the greedy heuristic, the exact
 //! branch-over-assignments search, the MILP front end, and the baseline
-//! frameworks — implements [`Solver`]: it receives a [`SearchContext`]
-//! carrying the *only* time budget mechanism in the stack (a deadline), a
-//! cooperative [`CancelToken`], and a shared incumbent bound, and returns a
-//! uniform [`SolveOutcome`].
+//! frameworks — implements [`Solver`], the one solver trait. Its
+//! [`Solver::solve`] receives a [`SearchContext`] carrying the *only* time
+//! budget in the stack (a deadline), a cooperative [`CancelToken`], and a
+//! shared incumbent bound, and returns a uniform [`SolveOutcome`]. No
+//! solver holds a timer or a budget of its own: the budget-less
+//! [`Solver::deploy`] is `solve` under a fresh
+//! [`DEFAULT_DEPLOY_BUDGET`] context, and every other caller turns its
+//! `Duration` into a context with [`SearchContext::with_time_limit`] or
+//! [`SearchContext::with_deadline`]. Constructive solvers, which build one
+//! plan without searching, report it through
+//! [`SolveOutcome::constructed`].
 //!
 //! On top of the trait, [`Portfolio`] races any set of solvers on std
 //! threads. Fast heuristics publish incumbent objectives early through
@@ -35,7 +42,7 @@
 //! plan is byte-identical across runs whenever the budget either lets the
 //! exact racer finish or never lets it beat the heuristic.
 
-use crate::deployment::{DeployError, DeploymentAlgorithm, DeploymentPlan, Epsilon};
+use crate::deployment::{DeployError, DeploymentPlan, Epsilon};
 use hermes_net::Network;
 use hermes_tdg::Tdg;
 use std::num::NonZeroUsize;
@@ -47,9 +54,8 @@ use std::time::{Duration, Instant};
 /// published yet.
 pub const NO_BOUND: u64 = u64::MAX;
 
-/// Wall-clock budget used when a [`Solver`] is driven through the
-/// budget-less [`DeploymentAlgorithm`] API (matching the historic default
-/// of the exact solver).
+/// Wall-clock budget of the budget-less [`Solver::deploy`] convenience
+/// (matching the historic default of the exact solver).
 pub const DEFAULT_DEPLOY_BUDGET: Duration = Duration::from_secs(30);
 
 /// Cooperative cancellation flag shared by every racer of a portfolio.
@@ -246,13 +252,51 @@ pub struct SolveOutcome {
     pub stats: SolveStats,
 }
 
-/// The unified solver interface.
+impl SolveOutcome {
+    /// Outcome of a constructive (one-shot) solver that built `plan`
+    /// without searching: the objective is published as an incumbent, and
+    /// optimality is proven only at zero bytes — a global lower bound.
+    pub fn constructed(
+        plan: DeploymentPlan,
+        tdg: &Tdg,
+        ctx: &SearchContext,
+        start: Instant,
+    ) -> SolveOutcome {
+        let objective = plan.max_inter_switch_bytes(tdg);
+        ctx.publish_incumbent(objective);
+        SolveOutcome {
+            plan,
+            objective,
+            proven_optimal: objective == 0,
+            stats: SolveStats {
+                nodes_explored: 0,
+                wall: start.elapsed(),
+                proven_bound: (objective == 0).then_some(0),
+            },
+        }
+    }
+}
+
+/// The interface every deployment framework — Hermes, its exact and MILP
+/// variants, and every baseline — implements, so experiments sweep
+/// algorithms uniformly.
 ///
 /// Implementors must honour the context: poll
 /// [`SearchContext::should_stop`] during long searches, prune against
 /// [`SearchContext::incumbent_bound`] when exhaustive, and publish every
 /// improved feasible objective via [`SearchContext::publish_incumbent`].
-pub trait Solver: DeploymentAlgorithm + Send + Sync {
+pub trait Solver: Send + Sync {
+    /// Short display name used in experiment tables (e.g. `"Hermes"`).
+    fn name(&self) -> &str;
+
+    /// `true` for solver-backed frameworks whose running time explodes
+    /// with instance size (ILP solvers, exhaustive search). Experiment
+    /// harnesses cap their reported times the way the paper caps its
+    /// execution-time bars at two hours.
+    fn is_exhaustive(&self) -> bool {
+        false
+    }
+
     /// Runs the search under `ctx` and returns the best outcome found.
     ///
     /// # Errors
@@ -267,76 +311,23 @@ pub trait Solver: DeploymentAlgorithm + Send + Sync {
         eps: &Epsilon,
         ctx: &SearchContext,
     ) -> Result<SolveOutcome, DeployError>;
-}
 
-/// Adapter giving any [`Solver`] a [`DeploymentAlgorithm`] face with an
-/// explicit wall-clock budget: the one place a `Duration` becomes a
-/// [`SearchContext`] for callers of the budget-less `deploy` API.
-#[derive(Debug, Clone)]
-pub struct Budgeted<S> {
-    solver: S,
-    budget: Duration,
-    threads: Option<NonZeroUsize>,
-}
-
-impl<S: Solver> Budgeted<S> {
-    /// Wraps `solver` so `deploy` runs under `budget`.
-    pub fn new(solver: S, budget: Duration) -> Self {
-        Budgeted { solver, budget, threads: None }
-    }
-
-    /// Sets the worker budget `deploy` stamps onto its [`SearchContext`]
-    /// (`None` keeps the available-parallelism default).
-    #[must_use]
-    pub fn with_threads(mut self, threads: Option<NonZeroUsize>) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The wrapped solver.
-    pub fn inner(&self) -> &S {
-        &self.solver
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-}
-
-impl<S: Solver> DeploymentAlgorithm for Budgeted<S> {
-    fn name(&self) -> &str {
-        self.solver.name()
-    }
-
+    /// Produces a deployment of `tdg` onto `net` under the ε-bounds:
+    /// [`solve`](Self::solve) under a fresh [`DEFAULT_DEPLOY_BUDGET`]
+    /// context. Callers needing another budget, a worker cap, or a shared
+    /// incumbent call `solve` with their own context.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeployError`] when no feasible deployment was found.
     fn deploy(
         &self,
         tdg: &Tdg,
         net: &Network,
         eps: &Epsilon,
     ) -> Result<DeploymentPlan, DeployError> {
-        let mut ctx = SearchContext::with_time_limit(self.budget);
-        if let Some(threads) = self.threads {
-            ctx = ctx.with_threads(threads);
-        }
-        self.solver.solve(tdg, net, eps, &ctx).map(|o| o.plan)
-    }
-
-    fn is_exhaustive(&self) -> bool {
-        self.solver.is_exhaustive()
-    }
-}
-
-impl<S: Solver> Solver for Budgeted<S> {
-    fn solve(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-        ctx: &SearchContext,
-    ) -> Result<SolveOutcome, DeployError> {
-        // An explicit context wins over the stored budget.
-        self.solver.solve(tdg, net, eps, ctx)
+        let ctx = SearchContext::with_time_limit(DEFAULT_DEPLOY_BUDGET);
+        self.solve(tdg, net, eps, &ctx).map(|o| o.plan)
     }
 }
 
@@ -606,27 +597,15 @@ impl Portfolio {
     }
 }
 
-impl DeploymentAlgorithm for Portfolio {
+impl Solver for Portfolio {
     fn name(&self) -> &str {
         &self.label
-    }
-
-    fn deploy(
-        &self,
-        tdg: &Tdg,
-        net: &Network,
-        eps: &Epsilon,
-    ) -> Result<DeploymentPlan, DeployError> {
-        self.solve(tdg, net, eps, &SearchContext::with_time_limit(DEFAULT_DEPLOY_BUDGET))
-            .map(|o| o.plan)
     }
 
     fn is_exhaustive(&self) -> bool {
         self.racers.iter().any(|r| r.is_exhaustive())
     }
-}
 
-impl Solver for Portfolio {
     fn solve(
         &self,
         tdg: &Tdg,
@@ -739,14 +718,32 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_adapter_deploys() {
+    fn deploy_solves_under_the_default_budget() {
         let tdg = chain_tdg(&[1, 4], 0.5);
         let net = tiny_switches(2, 2, 0.5);
-        let algo = Budgeted::new(OptimalSolver::default(), Duration::from_secs(5));
+        let algo = OptimalSolver::default();
         assert_eq!(algo.name(), "Optimal");
         assert!(algo.is_exhaustive());
         let plan = algo.deploy(&tdg, &net, &Epsilon::loose()).unwrap();
         assert_eq!(plan.max_inter_switch_bytes(&tdg), 1);
+    }
+
+    #[test]
+    fn constructed_outcome_publishes_and_proves_only_zero() {
+        // Three 0.5 MATs cannot share one 2-stage switch: the plan splits.
+        let tdg = chain_tdg(&[3, 1], 0.5);
+        let net = tiny_switches(2, 2, 0.5);
+        let plan = GreedyHeuristic::new().deploy(&tdg, &net, &Epsilon::loose()).unwrap();
+        let ctx = SearchContext::unbounded();
+        let split = SolveOutcome::constructed(plan, &tdg, &ctx, Instant::now());
+        assert!(split.objective > 0);
+        assert!(!split.proven_optimal);
+        assert_eq!(split.stats.proven_bound, None);
+        assert_eq!(ctx.incumbent_bound(), split.objective);
+        let zero = SolveOutcome::constructed(DeploymentPlan::new(), &tdg, &ctx, Instant::now());
+        assert!(zero.proven_optimal);
+        assert_eq!(zero.stats.proven_bound, Some(0));
+        assert_eq!(ctx.incumbent_bound(), 0);
     }
 
     #[test]

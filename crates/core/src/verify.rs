@@ -388,8 +388,9 @@ pub fn verify(tdg: &Tdg, net: &Network, plan: &DeploymentPlan, eps: &Epsilon) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::{DeploymentAlgorithm, StagePlacement};
+    use crate::deployment::StagePlacement;
     use crate::heuristic::GreedyHeuristic;
+    use crate::solver::Solver;
     use hermes_dataplane::library;
     use hermes_net::topology;
     use hermes_tdg::{merge_all, AnalysisMode, Tdg};

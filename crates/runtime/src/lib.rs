@@ -56,7 +56,7 @@
 //! # Example
 //!
 //! ```
-//! use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+//! use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 //! use hermes_dataplane::library;
 //! use hermes_net::topology;
 //! use hermes_runtime::{DeploymentRuntime, FaultInjector, FaultProfile, RetryPolicy};

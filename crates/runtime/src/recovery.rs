@@ -735,7 +735,7 @@ mod tests {
     use crate::fault::{FaultInjector, FaultProfile};
     use crate::journal::{CrashPoint, CrashTiming, Journal};
     use crate::runtime::{RetryPolicy, RolloutOutcome};
-    use hermes_core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
     use hermes_dataplane::library;
     use hermes_net::{topology, Network};
 

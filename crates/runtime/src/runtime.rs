@@ -1132,7 +1132,7 @@ impl DeploymentRuntime {
 mod tests {
     use super::*;
     use crate::fault::FaultProfile;
-    use hermes_core::{DeploymentAlgorithm, GreedyHeuristic, ProgramAnalyzer};
+    use hermes_core::{GreedyHeuristic, ProgramAnalyzer, Solver};
     use hermes_dataplane::library;
     use hermes_net::topology;
 

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example dsl_pipeline`
 
 use hermes::backend::{config::generate, emulator};
-use hermes::core::{verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, Solver};
 use hermes::dataplane::parser::parse_programs;
 use hermes::net::{Network, Switch};
 use hermes::tdg::{merge_all, AnalysisMode, Tdg};

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example int_telemetry`
 
 use hermes::baselines::FirstFitByLevel;
-use hermes::core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 use hermes::dataplane::library;
 use hermes::net::topology;
 use hermes::sim::testbed::{normalized_impact, TestbedConfig};

@@ -9,8 +9,7 @@
 //! Run with: `cargo run --example nfv_chain`
 
 use hermes::core::{
-    verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, OptimalSolver, ProgramAnalyzer,
-    SearchContext, Solver,
+    verify, Epsilon, GreedyHeuristic, OptimalSolver, ProgramAnalyzer, SearchContext, Solver,
 };
 use hermes::dataplane::library;
 use hermes::net::topology::{random_wan, WanConfig};

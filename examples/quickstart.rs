@@ -9,7 +9,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use hermes::baselines::FirstFitByLevel;
-use hermes::core::{verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, Solver};
 use hermes::dataplane::action::Action;
 use hermes::dataplane::fields::Field;
 use hermes::dataplane::mat::{Mat, MatchKind};

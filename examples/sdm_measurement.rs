@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example sdm_measurement`
 
 use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize};
-use hermes::core::{verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 use hermes::dataplane::library::sketches;
 use hermes::net::topology;
 
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 2/3 — deploy on the Tofino-like 3-switch testbed.
     let net = topology::linear(3, 10.0);
     let eps = Epsilon::loose();
-    let algorithms: Vec<Box<dyn DeploymentAlgorithm>> = vec![
+    let algorithms: Vec<Box<dyn Solver>> = vec![
         Box::new(GreedyHeuristic::new()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),

@@ -20,7 +20,7 @@
 //! # End-to-end example
 //!
 //! ```
-//! use hermes::core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+//! use hermes::core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 //! use hermes::dataplane::library;
 //! use hermes::net::topology;
 //!

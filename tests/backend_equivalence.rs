@@ -3,7 +3,7 @@
 //! and the generated configurations must be internally consistent.
 
 use hermes::backend::{config::generate, emulator};
-use hermes::core::{verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::topology;
 use proptest::prelude::*;

@@ -2,7 +2,7 @@
 //! deployment algorithms → verifier → simulator.
 
 use hermes::baselines::standard_suite;
-use hermes::core::{verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, ProgramAnalyzer, SearchContext, Solver};
 use hermes::dataplane::library;
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::topology;
@@ -18,9 +18,11 @@ fn every_algorithm_produces_verified_plans_on_the_testbed() {
     let tdg = testbed_workload();
     let net = topology::linear(3, 10.0);
     let eps = Epsilon::loose();
-    for algo in standard_suite(Duration::from_secs(1)) {
-        let plan =
-            algo.deploy(&tdg, &net, &eps).unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
+    for algo in standard_suite() {
+        let plan = algo
+            .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(1)))
+            .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()))
+            .plan;
         let violations = verify(&tdg, &net, &plan, &eps);
         assert!(violations.is_empty(), "{}: {violations:?}", algo.name());
     }
@@ -31,15 +33,15 @@ fn hermes_dominates_overhead_oblivious_baselines() {
     let tdg = testbed_workload();
     let net = topology::linear(3, 10.0);
     let eps = Epsilon::loose();
-    let suite = standard_suite(Duration::from_secs(1));
+    let suite = standard_suite();
     let overhead = |name: &str| -> u64 {
         suite
             .iter()
             .find(|a| a.name() == name)
             .unwrap()
-            .deploy(&tdg, &net, &eps)
+            .solve(&tdg, &net, &eps, &SearchContext::with_time_limit(Duration::from_secs(1)))
             .unwrap()
-            .max_inter_switch_bytes(&tdg)
+            .objective
     };
     let hermes = overhead("Hermes");
     for baseline in ["FFL", "FFLS", "MS", "Sonata"] {

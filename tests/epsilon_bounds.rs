@@ -2,7 +2,7 @@
 //! honoured by the produced plan or reported as infeasible — never
 //! silently violated.
 
-use hermes::core::{verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 use hermes::dataplane::library;
 use hermes::net::topology;
 

@@ -10,8 +10,7 @@
 
 use hermes::core::test_support::chain_tdg;
 use hermes::core::{
-    DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer,
-    RedeployOptions,
+    Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer, RedeployOptions, Solver,
 };
 use hermes::dataplane::library;
 use hermes::net::topology;

@@ -10,8 +10,7 @@
 //!    MAT on one of them, and the healed plan still verifies.
 
 use hermes::core::{
-    verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer,
-    RedeployOptions,
+    verify, Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer, RedeployOptions, Solver,
 };
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::topology;

@@ -7,7 +7,7 @@
 //! reported) or fail with a typed [`JournalError`] — never a panic, and
 //! never a silent misparse that folds corrupt bytes into intent.
 
-use hermes::core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 use hermes::dataplane::library;
 use hermes::net::topology;
 use hermes::runtime::{

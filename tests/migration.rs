@@ -11,9 +11,8 @@
 use hermes::backend::{check_transition, config::generate, validate_plan, EpochTransition};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    MigrateError, MigrationOrder, MigrationProblem, MigrationScheduler, ProgramAnalyzer,
-    RedeployOptions, SearchContext,
+    DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer, MigrateError, MigrationOrder,
+    MigrationProblem, MigrationScheduler, ProgramAnalyzer, RedeployOptions, SearchContext, Solver,
 };
 use hermes::dataplane::library;
 use hermes::net::{topology, Network};

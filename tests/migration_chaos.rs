@@ -17,8 +17,7 @@
 
 use hermes::core::test_support::chain_tdg;
 use hermes::core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    RedeployOptions,
+    DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer, RedeployOptions, Solver,
 };
 use hermes::net::{topology, Network, SwitchId};
 use hermes::runtime::{

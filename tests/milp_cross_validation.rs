@@ -4,8 +4,7 @@
 //! `Optimal == MILP <= Hermes`.
 
 use hermes::core::{
-    verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
-    SearchContext, Solver,
+    verify, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver, SearchContext, Solver,
 };
 use hermes::dataplane::action::Action;
 use hermes::dataplane::fields::Field;

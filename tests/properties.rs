@@ -1,9 +1,7 @@
 //! Property-based tests over randomly generated workloads: structural
 //! invariants that must hold for *every* input, not just the library.
 
-use hermes::core::{
-    verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer, SplitStrategy,
-};
+use hermes::core::{verify, Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver, SplitStrategy};
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
 use hermes::net::topology::{random_wan, WanConfig};
 use hermes::tdg::merge_all;

@@ -23,8 +23,8 @@
 //! seed-derived crash in each scenario under the full chaos profile.
 
 use hermes::core::{
-    DeploymentAlgorithm, DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer,
-    ProgramAnalyzer, RedeployOptions,
+    DeploymentPlan, Epsilon, GreedyHeuristic, IncrementalDeployer, ProgramAnalyzer,
+    RedeployOptions, Solver,
 };
 use hermes::dataplane::library;
 use hermes::net::{topology, Network};

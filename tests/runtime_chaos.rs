@@ -11,7 +11,7 @@
 //! byte-identical event log.
 
 use hermes::backend::validate_plan;
-use hermes::core::{DeploymentAlgorithm, Epsilon, GreedyHeuristic, ProgramAnalyzer};
+use hermes::core::{Epsilon, GreedyHeuristic, ProgramAnalyzer, Solver};
 use hermes::dataplane::library;
 use hermes::net::{topology, Network};
 use hermes::runtime::{

@@ -40,15 +40,14 @@ fn random_synthetic_instance(seed: u64, programs: usize) -> (Tdg, Network) {
 /// Every registered [`Solver`], exercised through the one unified entry
 /// point (no solver-private budget knobs anywhere).
 fn all_solvers() -> Vec<Box<dyn Solver>> {
-    let fast = IlpConfig { time_limit: Duration::from_secs(1), ..Default::default() };
     vec![
         Box::new(GreedyHeuristic::new()),
         Box::new(OptimalSolver::new()),
         Box::new(MilpHermes::default()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
-        Box::new(IlpBaseline::min_stage(fast)),
-        Box::new(Sonata::default()),
+        Box::new(IlpBaseline::min_stage(IlpConfig::default())),
+        Box::new(Sonata),
     ]
 }
 

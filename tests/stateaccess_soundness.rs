@@ -18,17 +18,17 @@
 //!    workloads the relaxed mode is a byte-level no-op.
 
 use hermes::analysis::oracle_classification;
-use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpConfig, Sonata};
+use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, Sonata};
 use hermes::core::{
-    verify, Budgeted, DeploymentAlgorithm, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
-    Portfolio, ProgramAnalyzer,
+    verify, DeployError, DeploymentPlan, Epsilon, GreedyHeuristic, MilpHermes, OptimalSolver,
+    Portfolio, ProgramAnalyzer, SearchContext, Solver,
 };
 use hermes::dataplane::action::{Action, FoldOp, PrimitiveOp};
 use hermes::dataplane::fields::Field;
 use hermes::dataplane::library::{self, aggregation};
 use hermes::dataplane::mat::{Mat, MatchKind};
 use hermes::dataplane::synthetic::{SyntheticConfig, SyntheticGenerator};
-use hermes::net::topology;
+use hermes::net::{topology, Network};
 use hermes::tdg::{AnalysisMode, StateClassification, Tdg};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -137,17 +137,27 @@ proptest! {
 
 /// The solver roster the byte-identity gate runs: the seven distinct
 /// engines behind the CLI's `--solver` names.
-fn solver_roster() -> Vec<Box<dyn DeploymentAlgorithm>> {
-    let budget = Duration::from_secs(5);
+fn solver_roster() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(GreedyHeuristic::new()),
-        Box::new(Budgeted::new(OptimalSolver::default(), budget)),
-        Box::new(Budgeted::new(MilpHermes::default(), budget)),
-        Box::new(Budgeted::new(Portfolio::greedy_exact(), budget)),
+        Box::new(OptimalSolver::default()),
+        Box::new(MilpHermes::default()),
+        Box::new(Portfolio::greedy_exact()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
-        Box::new(Sonata::new(IlpConfig { time_limit: budget, ..Default::default() })),
+        Box::new(Sonata),
     ]
+}
+
+/// Plans under the roster's 5 s budget.
+fn deploy_within_budget(
+    solver: &dyn Solver,
+    tdg: &Tdg,
+    net: &Network,
+    eps: &Epsilon,
+) -> Result<DeploymentPlan, DeployError> {
+    let ctx = SearchContext::with_time_limit(Duration::from_secs(5));
+    solver.solve(tdg, net, eps, &ctx).map(|o| o.plan)
 }
 
 /// Pillar 2 (library workloads): every solver's relaxed-mode plan on the
@@ -168,8 +178,7 @@ fn relaxed_aggregation_plans_verify_under_every_solver() {
     let net = topology::linear(3, 10.0);
     let eps = Epsilon::loose();
     for solver in solver_roster() {
-        let plan = solver
-            .deploy(&tdg, &net, &eps)
+        let plan = deploy_within_budget(solver.as_ref(), &tdg, &net, &eps)
             .unwrap_or_else(|e| panic!("{} failed on the relaxed TDG: {e}", solver.name()));
         let violations = verify(&tdg, &net, &plan, &eps);
         assert!(violations.is_empty(), "{}: {violations:?}", solver.name());
@@ -199,7 +208,8 @@ fn conservative_plans_are_byte_identical_across_runs() {
         let serialize = || {
             let tdg = ProgramAnalyzer::new().analyze(&programs);
             assert!(tdg.edges().iter().all(|e| !e.dep.is_relaxed()), "{}", solver.name());
-            let plan = solver.deploy(&tdg, &net, &eps).expect("library workload deploys");
+            let plan = deploy_within_budget(solver.as_ref(), &tdg, &net, &eps)
+                .expect("library workload deploys");
             serde_json::to_string(&plan).expect("plans serialize")
         };
         assert_eq!(serialize(), serialize(), "{} is not reproducible", solver.name());

@@ -15,9 +15,9 @@
 use hermes::baselines::{FirstFitByLevel, FirstFitByLevelAndSize, IlpBaseline, IlpConfig, Sonata};
 use hermes::core::test_support::{chain_tdg, tiny_switches};
 use hermes::core::{
-    verify, DeploymentAlgorithm, Epsilon, GreedyHeuristic, IncrementalDeployer, MigrationOrder,
-    MigrationProblem, MigrationScheduler, MilpHermes, OptimalSolver, Portfolio, Precheck,
-    RedeployOptions, SearchContext, Solver,
+    verify, Epsilon, GreedyHeuristic, IncrementalDeployer, MigrationOrder, MigrationProblem,
+    MigrationScheduler, MilpHermes, OptimalSolver, Portfolio, Precheck, RedeployOptions,
+    SearchContext, Solver,
 };
 use hermes::net::{parse_target, topology, Network, TargetKind, TargetModel};
 use hermes::tdg::Tdg;
@@ -27,15 +27,14 @@ use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 
 fn all_solvers() -> Vec<Box<dyn Solver>> {
-    let fast = IlpConfig { time_limit: Duration::from_secs(1), ..Default::default() };
     vec![
         Box::new(GreedyHeuristic::new()),
         Box::new(OptimalSolver::new()),
         Box::new(MilpHermes::default()),
         Box::new(FirstFitByLevel),
         Box::new(FirstFitByLevelAndSize),
-        Box::new(IlpBaseline::min_stage(fast)),
-        Box::new(Sonata::default()),
+        Box::new(IlpBaseline::min_stage(IlpConfig::default())),
+        Box::new(Sonata),
     ]
 }
 
