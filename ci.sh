@@ -105,6 +105,16 @@ else
   echo "state-access golden matches"
 fi
 
+echo "==> merge golden (tdg_fingerprint + node/edge counts per program set and analysis mode)"
+# Pins merge_all on the library, churn's live set and scale-wan's set under
+# all three analysis modes. REGEN_GOLDEN=1 ./ci.sh rewrites the fixture.
+cargo test -q --release --test merge_golden
+if [[ "${REGEN_GOLDEN:-0}" == "1" ]]; then
+  echo "merge golden regenerated"
+else
+  echo "merge golden matches"
+fi
+
 echo "==> determinism smokes (hotpath, portfolio, migration, targets, recovery; double run, byte-diff)"
 # Each bench binary's --smoke mode prints only deterministic fields
 # (plans, objectives, proofs, virtual-clock timings): hotpath solves the

@@ -111,8 +111,9 @@ impl DeploymentArtifacts {
         let n = occupied.len();
         let mut adj = vec![BTreeSet::new(); n];
         let mut indegree = vec![0usize; n];
+        let home = node_switches(tdg, plan);
         for e in tdg.edges() {
-            let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
+            let (Some(u), Some(v)) = (home[e.from.index()], home[e.to.index()]) else {
                 continue;
             };
             if u != v && adj[index[&u]].insert(index[&v]) {
@@ -146,6 +147,18 @@ impl DeploymentArtifacts {
     }
 }
 
+/// [`DeploymentPlan::switch_of`] for every node of `tdg` at once, indexed
+/// by node: the switch of each node's first placement.
+pub(crate) fn node_switches(tdg: &Tdg, plan: &DeploymentPlan) -> Vec<Option<SwitchId>> {
+    let mut home = vec![None; tdg.node_count()];
+    for p in plan.placements() {
+        if let Some(slot @ None) = home.get_mut(p.node.index()) {
+            *slot = Some(p.switch);
+        }
+    }
+    home
+}
+
 /// Generates the deployment artifacts for a verified plan.
 ///
 /// The piggyback contract of a pair `(u, v)` is the set of metadata fields
@@ -169,8 +182,9 @@ pub fn generate(tdg: &Tdg, net: &Network, plan: &DeploymentPlan) -> DeploymentAr
     }
 
     // Piggyback contracts from cross-switch dependency edges.
+    let home = node_switches(tdg, plan);
     for e in tdg.edges() {
-        let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
+        let (Some(u), Some(v)) = (home[e.from.index()], home[e.to.index()]) else {
             continue;
         };
         if u == v || e.bytes == 0 {

@@ -17,14 +17,14 @@
 //!    consumed on switch 3 must also transit switch 2, so the bytes on a
 //!    hop can exceed the paper's pairwise `A_max` ([`Trace::wire_bytes`]).
 
-use crate::config::DeploymentArtifacts;
+use crate::config::{node_switches, DeploymentArtifacts, StageEntry, SwitchConfig};
 use hermes_core::DeploymentPlan;
 use hermes_dataplane::action::{FoldOp, PrimitiveOp};
 use hermes_dataplane::fields::Field;
 use hermes_dataplane::Mat;
 use hermes_net::SwitchId;
 use hermes_tdg::{NodeId, Tdg};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A packet as the pipeline sees it: symbolic 64-bit field values.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -62,7 +62,7 @@ impl Packet {
 
     /// Keeps headers plus the given metadata set; all other metadata is
     /// stripped (what happens on egress without a piggyback entry).
-    pub(crate) fn retain_for_wire(&mut self, piggyback: &std::collections::BTreeSet<Field>) {
+    pub(crate) fn retain_for_wire(&mut self, piggyback: &BTreeSet<Field>) {
         self.fields.retain(|f, _| f.is_header() || piggyback.contains(f));
     }
 }
@@ -96,7 +96,7 @@ impl Registers {
 /// Executes one MAT over the packet: the first action of the table runs
 /// (rule lookup is control-plane state; data-plane semantics — who writes
 /// what from what — are what equivalence needs).
-fn execute_mat(mat: &Mat, table_name: &str, pkt: &mut Packet, regs: &mut Registers) {
+pub(crate) fn execute_mat(mat: &Mat, table_name: &str, pkt: &mut Packet, regs: &mut Registers) {
     let Some(action) = mat.actions().first() else {
         return;
     };
@@ -179,6 +179,109 @@ impl Trace {
     }
 }
 
+/// One switch's pipeline, compiled: its MATs in execution order (stage
+/// order, ties by node; a MAT split over several stages runs once, at its
+/// first slice), each with the table name that keys its registers.
+pub(crate) type SwitchProgram<'a> = Vec<(&'a Mat, &'a str)>;
+
+/// Compiles one switch config into its [`SwitchProgram`].
+pub(crate) fn compile_switch<'a>(tdg: &'a Tdg, config: &'a SwitchConfig) -> SwitchProgram<'a> {
+    let mut items: Vec<(usize, &StageEntry)> = config
+        .stages
+        .iter()
+        .flat_map(|(stage, list)| list.iter().map(move |e| (*stage, e)))
+        .collect();
+    items.sort_by_key(|(stage, e)| (*stage, e.node));
+    let mut executed: BTreeSet<NodeId> = BTreeSet::new();
+    items
+        .into_iter()
+        .filter(|(_, e)| executed.insert(e.node))
+        .map(|(_, e)| (&tdg.node(e.node).mat, e.table.as_str()))
+        .collect()
+}
+
+/// Executes a compiled switch (or reference) pipeline over the packet.
+pub(crate) fn run_program(program: &[(&Mat, &str)], pkt: &mut Packet, regs: &mut Registers) {
+    for &(mat, table) in program {
+        execute_mat(mat, table, pkt, regs);
+    }
+}
+
+/// The egress piggyback set of every hop of a packet that visits `order`
+/// under `plan`: after `order[i]`, the metadata written on an
+/// already-visited switch and still consumed by a MAT on a remaining one.
+/// A MAT's written metadata rides from its own hop up to the hop before
+/// its farthest consumer.
+pub(crate) fn egress_sets(
+    tdg: &Tdg,
+    plan: &DeploymentPlan,
+    order: &[SwitchId],
+) -> Vec<BTreeSet<Field>> {
+    let position: BTreeMap<SwitchId, usize> =
+        order.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+    let hop: Vec<Option<usize>> = node_switches(tdg, plan)
+        .into_iter()
+        .map(|s| s.and_then(|s| position.get(&s).copied()))
+        .collect();
+    // farthest[a]: the last hop position of a consumer of `a` beyond `a`'s hop.
+    let mut farthest: Vec<Option<usize>> = vec![None; tdg.node_count()];
+    for e in tdg.edges() {
+        if let (Some(pu), Some(pv)) = (hop[e.from.index()], hop[e.to.index()]) {
+            if pu < pv {
+                let slot = &mut farthest[e.from.index()];
+                *slot = Some(slot.map_or(pv, |f| f.max(pv)));
+            }
+        }
+    }
+    let mut egress = vec![BTreeSet::new(); order.len()];
+    for (a, far) in farthest.into_iter().enumerate() {
+        let (Some(far), Some(pu)) = (far, hop[a]) else {
+            continue;
+        };
+        let written = tdg.nodes()[a].mat.written_metadata();
+        for set in &mut egress[pu..far] {
+            set.extend(written.iter().cloned());
+        }
+    }
+    egress
+}
+
+/// A deployment compiled once for packet replay: the switch visit order,
+/// each visited switch's [`SwitchProgram`], and each hop's egress set and
+/// its size on the wire.
+pub(crate) struct CompiledDeployment<'a> {
+    order: Vec<SwitchId>,
+    switches: Vec<SwitchProgram<'a>>,
+    egress: Vec<BTreeSet<Field>>,
+    wire_bytes: Vec<u32>,
+}
+
+impl<'a> CompiledDeployment<'a> {
+    /// Compiles the deployment; `None` when the plan's switch-level
+    /// dependency graph is cyclic.
+    pub(crate) fn new(
+        tdg: &'a Tdg,
+        plan: &DeploymentPlan,
+        artifacts: &'a DeploymentArtifacts,
+    ) -> Option<Self> {
+        let order = artifacts.switch_visit_order(tdg, plan)?;
+        let switches = order.iter().map(|s| compile_switch(tdg, &artifacts.switches[s])).collect();
+        let egress = egress_sets(tdg, plan, &order);
+        let wire_bytes = egress.iter().map(|set| set.iter().map(Field::size_bytes).sum()).collect();
+        Some(CompiledDeployment { order, switches, egress, wire_bytes })
+    }
+
+    /// Runs `pkt` through the distributed deployment.
+    pub(crate) fn run(&self, mut pkt: Packet) -> Trace {
+        let mut regs = Registers::default();
+        for (program, egress) in self.switches.iter().zip(&self.egress) {
+            run_program(program, &mut pkt, &mut regs);
+            pkt.retain_for_wire(egress);
+        }
+        Trace { packet: pkt, visits: self.order.clone(), wire_bytes: self.wire_bytes.clone() }
+    }
+}
+
 /// Runs `pkt` through the distributed deployment.
 ///
 /// Per visited switch, MATs execute in stage order (ties: placement
@@ -194,70 +297,11 @@ pub fn run_distributed(
     tdg: &Tdg,
     plan: &DeploymentPlan,
     artifacts: &DeploymentArtifacts,
-    mut pkt: Packet,
+    pkt: Packet,
 ) -> Trace {
-    let order =
-        artifacts.switch_visit_order(tdg, plan).expect("verified plans have an acyclic switch DAG");
-    let mut regs = Registers::default();
-    let mut visits = Vec::with_capacity(order.len());
-    let mut wire_bytes = Vec::with_capacity(order.len());
-
-    for (i, &switch) in order.iter().enumerate() {
-        visits.push(switch);
-        execute_switch(tdg, &artifacts.switches[&switch], &mut pkt, &mut regs);
-        // Egress: strip everything later switches do not consume.
-        let remaining: Vec<SwitchId> = order[i + 1..].to_vec();
-        let piggyback = transitive_piggyback(tdg, plan, &order[..=i], &remaining);
-        pkt.retain_for_wire(&piggyback);
-        wire_bytes.push(piggyback.iter().map(Field::size_bytes).sum());
-    }
-    Trace { packet: pkt, visits, wire_bytes }
-}
-
-/// Executes every MAT of one switch config over the packet, in stage
-/// order; a MAT split over several stages runs once, at its first slice.
-pub(crate) fn execute_switch(
-    tdg: &Tdg,
-    config: &crate::config::SwitchConfig,
-    pkt: &mut Packet,
-    regs: &mut Registers,
-) {
-    let mut executed: std::collections::BTreeSet<NodeId> = Default::default();
-    let mut items: Vec<(usize, &crate::config::StageEntry)> = config
-        .stages
-        .iter()
-        .flat_map(|(stage, list)| list.iter().map(move |e| (*stage, e)))
-        .collect();
-    items.sort_by_key(|(stage, e)| (*stage, e.node));
-    for (_, entry) in items {
-        if executed.insert(entry.node) {
-            let mat = &tdg.node(entry.node).mat;
-            execute_mat(mat, &entry.table, pkt, regs);
-        }
-    }
-}
-
-/// Metadata written on any already-visited switch and still consumed by a
-/// MAT on any remaining switch: what genuinely must ride the wire now.
-pub(crate) fn transitive_piggyback(
-    tdg: &Tdg,
-    plan: &DeploymentPlan,
-    visited: &[SwitchId],
-    remaining: &[SwitchId],
-) -> std::collections::BTreeSet<Field> {
-    let mut out = std::collections::BTreeSet::new();
-    if remaining.is_empty() {
-        return out;
-    }
-    for e in tdg.edges() {
-        let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
-            continue;
-        };
-        if visited.contains(&u) && remaining.contains(&v) {
-            out.extend(tdg.node(e.from).mat.written_metadata());
-        }
-    }
-    out
+    CompiledDeployment::new(tdg, plan, artifacts)
+        .expect("verified plans have an acyclic switch DAG")
+        .run(pkt)
 }
 
 /// The field-level analogue of the paper's pairwise `A_max`: for each
@@ -266,8 +310,7 @@ pub(crate) fn transitive_piggyback(
 /// (which double-counts a field shared by several crossing edges), this is
 /// a true lower bound on what must ride the wire between the pair.
 pub fn pairwise_field_bytes(tdg: &Tdg, plan: &DeploymentPlan) -> u64 {
-    let mut per_pair: BTreeMap<(SwitchId, SwitchId), std::collections::BTreeSet<Field>> =
-        BTreeMap::new();
+    let mut per_pair: BTreeMap<(SwitchId, SwitchId), BTreeSet<Field>> = BTreeMap::new();
     for e in tdg.edges() {
         let (Some(u), Some(v)) = (plan.switch_of(e.from), plan.switch_of(e.to)) else {
             continue;
@@ -283,16 +326,25 @@ pub fn pairwise_field_bytes(tdg: &Tdg, plan: &DeploymentPlan) -> u64 {
         .unwrap_or(0)
 }
 
+/// The reference pipeline compiled: every MAT on a single giant logical
+/// switch, in topological order, keyed by its node name.
+pub(crate) fn compile_reference(tdg: &Tdg) -> SwitchProgram<'_> {
+    let order = tdg.topo_order().expect("TDGs are DAGs");
+    order.into_iter().map(|id| (&tdg.node(id).mat, tdg.node(id).name.as_str())).collect()
+}
+
+/// Runs `pkt` through a compiled reference pipeline.
+pub(crate) fn run_compiled_reference(reference: &[(&Mat, &str)], mut pkt: Packet) -> Packet {
+    let mut regs = Registers::default();
+    run_program(reference, &mut pkt, &mut regs);
+    pkt
+}
+
 /// Runs `pkt` through the *reference* deployment: every MAT on a single
 /// giant logical switch in topological order (the semantics of the
 /// original merged program).
-pub fn run_reference(tdg: &Tdg, mut pkt: Packet) -> Packet {
-    let mut regs = Registers::default();
-    for id in tdg.topo_order().expect("TDGs are DAGs") {
-        let node = tdg.node(id);
-        execute_mat(&node.mat, &node.name, &mut pkt, &mut regs);
-    }
-    pkt
+pub fn run_reference(tdg: &Tdg, pkt: Packet) -> Packet {
+    run_compiled_reference(&compile_reference(tdg), pkt)
 }
 
 /// `true` iff the distributed execution ends with exactly the same field

@@ -45,6 +45,8 @@
 pub mod config;
 pub mod emulator;
 pub mod mixed;
+#[cfg(test)]
+mod reference;
 pub mod simulate;
 pub mod validate;
 
@@ -53,6 +55,6 @@ pub use emulator::{
     equivalent, pairwise_field_bytes, run_distributed, run_reference, test_packet, Packet,
     Registers, Trace,
 };
-pub use mixed::{check_transition, check_window, EpochTransition, MixedEpochViolation};
+pub use mixed::{check_transition, EpochTransition, MixedEpochViolation};
 pub use simulate::{simulate_plan, PlanFlowConfig, PlanSimResult};
 pub use validate::{validate_plan, ValidationFailure, ValidationReport};

@@ -23,10 +23,11 @@
 
 use crate::config::DeploymentArtifacts;
 use crate::emulator::{
-    execute_switch, run_reference, same_observable, test_packet, transitive_piggyback, Packet,
-    Registers,
+    compile_reference, compile_switch, egress_sets, run_compiled_reference, run_program,
+    same_observable, test_packet, Packet, Registers, SwitchProgram,
 };
 use hermes_core::DeploymentPlan;
+use hermes_dataplane::fields::Field;
 use hermes_net::SwitchId;
 use hermes_tdg::Tdg;
 use std::collections::BTreeSet;
@@ -83,60 +84,80 @@ impl fmt::Display for MixedEpochViolation {
 
 impl std::error::Error for MixedEpochViolation {}
 
-/// Runs one packet through the mixed window: old-plan route, per-switch
-/// epoch chosen by the committed set, egress stripping per the serving
-/// epoch's piggyback contract.
-fn run_mixed(
-    t: &EpochTransition<'_>,
-    committed: &BTreeSet<SwitchId>,
-    mut pkt: Packet,
-) -> Result<Packet, MixedEpochViolation> {
-    let order = t
-        .old_artifacts
-        .switch_visit_order(t.tdg, t.old_plan)
-        .ok_or(MixedEpochViolation::UnorderedOldPlan)?;
-    let mut regs = Registers::default();
-    for (i, &switch) in order.iter().enumerate() {
-        let serving_new =
-            committed.contains(&switch) && t.new_artifacts.switches.contains_key(&switch);
-        let (config, plan) = if serving_new {
-            (&t.new_artifacts.switches[&switch], t.new_plan)
-        } else {
-            (&t.old_artifacts.switches[&switch], t.old_plan)
-        };
-        execute_switch(t.tdg, config, &mut pkt, &mut regs);
+/// A transition compiled once for the gate: the old route's visit order;
+/// each visited switch's old and (when it has one) new pipeline; the
+/// egress sets both epochs apply along the old route; and the
+/// single-epoch reference outcome of every packet seed.
+pub(crate) struct MixedGate<'a> {
+    order: Vec<SwitchId>,
+    old_switches: Vec<SwitchProgram<'a>>,
+    new_switches: Vec<Option<SwitchProgram<'a>>>,
+    old_egress: Vec<BTreeSet<Field>>,
+    new_egress: Vec<BTreeSet<Field>>,
+    references: Vec<(u64, Packet)>,
+}
+
+impl<'a> MixedGate<'a> {
+    /// Compiles `t` for `packet_seeds`; fails when the old plan's switch
+    /// dependency graph has no order.
+    pub(crate) fn new(
+        t: &EpochTransition<'a>,
+        packet_seeds: &[u64],
+    ) -> Result<Self, MixedEpochViolation> {
+        let order = t
+            .old_artifacts
+            .switch_visit_order(t.tdg, t.old_plan)
+            .ok_or(MixedEpochViolation::UnorderedOldPlan)?;
+        let old_switches =
+            order.iter().map(|s| compile_switch(t.tdg, &t.old_artifacts.switches[s])).collect();
+        let new_switches = order
+            .iter()
+            .map(|s| t.new_artifacts.switches.get(s).map(|config| compile_switch(t.tdg, config)))
+            .collect();
         // Egress keeps what the *serving* epoch believes later switches
         // still consume — a committed switch applies its new append
         // contract even though traffic still follows the old route.
-        let piggyback = transitive_piggyback(t.tdg, plan, &order[..=i], &order[i + 1..]);
-        pkt.retain_for_wire(&piggyback);
+        let old_egress = egress_sets(t.tdg, t.old_plan, &order);
+        let new_egress = egress_sets(t.tdg, t.new_plan, &order);
+        let reference = compile_reference(t.tdg);
+        let references = packet_seeds
+            .iter()
+            .map(|&seed| (seed, run_compiled_reference(&reference, test_packet(seed))))
+            .collect();
+        Ok(MixedGate { order, old_switches, new_switches, old_egress, new_egress, references })
     }
-    Ok(pkt)
-}
 
-/// Checks one window: with exactly `committed` switches serving the new
-/// epoch, every packet seed must be observably identical to the
-/// single-epoch reference execution.
-///
-/// # Errors
-///
-/// Returns the first [`MixedEpochViolation`] found.
-pub fn check_window(
-    t: &EpochTransition<'_>,
-    committed: &BTreeSet<SwitchId>,
-    packet_seeds: &[u64],
-) -> Result<(), MixedEpochViolation> {
-    for &seed in packet_seeds {
-        let mixed = run_mixed(t, committed, test_packet(seed))?;
-        let reference = run_reference(t.tdg, test_packet(seed));
-        if !same_observable(&mixed, &reference) {
-            return Err(MixedEpochViolation::Divergence {
-                packet_seed: seed,
-                committed: committed.iter().copied().collect(),
-            });
+    /// Runs one packet through the mixed window: old-plan route,
+    /// per-switch epoch chosen by the committed set, egress stripping per
+    /// the serving epoch's piggyback contract.
+    pub(crate) fn run_mixed(&self, committed: &BTreeSet<SwitchId>, mut pkt: Packet) -> Packet {
+        let mut regs = Registers::default();
+        for (i, switch) in self.order.iter().enumerate() {
+            let (program, egress) = match &self.new_switches[i] {
+                Some(program) if committed.contains(switch) => (program, &self.new_egress[i]),
+                _ => (&self.old_switches[i], &self.old_egress[i]),
+            };
+            run_program(program, &mut pkt, &mut regs);
+            pkt.retain_for_wire(egress);
         }
+        pkt
     }
-    Ok(())
+
+    /// Checks one window: with exactly `committed` switches serving the
+    /// new epoch, every packet seed must be observably identical to the
+    /// single-epoch reference execution.
+    fn check_window(&self, committed: &BTreeSet<SwitchId>) -> Result<(), MixedEpochViolation> {
+        for (seed, reference) in &self.references {
+            let mixed = self.run_mixed(committed, test_packet(*seed));
+            if !same_observable(&mixed, reference) {
+                return Err(MixedEpochViolation::Divergence {
+                    packet_seed: *seed,
+                    committed: committed.iter().copied().collect(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Checks every window the intended `commit_order` can realize: after
@@ -146,7 +167,10 @@ pub fn check_window(
 ///
 /// The runtime calls this *before issuing the first commit*: a violating
 /// order means the transition cannot be committed gradually and must
-/// roll back instead.
+/// roll back instead. The transition is compiled once — visit order,
+/// per-switch pipelines of both epochs, both epochs' egress sets along
+/// the old route, one reference packet per seed — and every window
+/// replays against it.
 ///
 /// # Errors
 ///
@@ -162,14 +186,16 @@ pub fn check_transition(
 ) -> Result<usize, MixedEpochViolation> {
     let prefixes: Vec<BTreeSet<SwitchId>> =
         (1..=commit_order.len()).map(|n| commit_order[..n].iter().copied().collect()).collect();
-    if prefixes.is_empty() {
-        return Ok(0);
+    if prefixes.is_empty() || packet_seeds.is_empty() {
+        return Ok(prefixes.len());
     }
+    let gate = MixedGate::new(t, packet_seeds)?;
+    let gate = &gate;
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(prefixes.len());
     let mut results: Vec<Result<(), MixedEpochViolation>> = vec![Ok(()); prefixes.len()];
     if workers <= 1 {
         for (slot, committed) in results.iter_mut().zip(&prefixes) {
-            *slot = check_window(t, committed, packet_seeds);
+            *slot = gate.check_window(committed);
         }
     } else {
         let chunk = prefixes.len().div_ceil(workers);
@@ -177,7 +203,7 @@ pub fn check_transition(
             for (res_chunk, pre_chunk) in results.chunks_mut(chunk).zip(prefixes.chunks(chunk)) {
                 scope.spawn(move || {
                     for (slot, committed) in res_chunk.iter_mut().zip(pre_chunk) {
-                        *slot = check_window(t, committed, packet_seeds);
+                        *slot = gate.check_window(committed);
                     }
                 });
             }
@@ -276,7 +302,10 @@ mod tests {
         };
         // Zero commits landed: the mixed execution IS the old deployment,
         // which passed validation — so the empty window must check clean.
-        check_window(&t, &BTreeSet::new(), &[0, 1, 2, 3]).expect("old deployment is consistent");
+        MixedGate::new(&t, &[0, 1, 2, 3])
+            .expect("verified old plan")
+            .check_window(&BTreeSet::new())
+            .expect("old deployment is consistent");
     }
 
     #[test]

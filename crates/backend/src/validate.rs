@@ -97,9 +97,17 @@ pub fn validate_plan(
     let artifacts = generate(tdg, net, plan);
     // Equivalence is only meaningful for structurally sound plans; a plan
     // with constraint violations is already rejected.
-    if failures.is_empty() {
+    // The deployment and the reference pipeline are compiled once and
+    // replayed for every seed.
+    if failures.is_empty() && !packet_seeds.is_empty() {
+        let deployment = emulator::CompiledDeployment::new(tdg, plan, &artifacts)
+            .expect("verified plans have an acyclic switch DAG");
+        let reference = emulator::compile_reference(tdg);
         for &seed in packet_seeds {
-            if !emulator::equivalent(tdg, plan, &artifacts, emulator::test_packet(seed)) {
+            let expected =
+                emulator::run_compiled_reference(&reference, emulator::test_packet(seed));
+            let distributed = deployment.run(emulator::test_packet(seed));
+            if !emulator::same_observable(&expected, &distributed.packet) {
                 failures.push(ValidationFailure::Divergence { packet_seed: seed });
             }
         }

@@ -364,6 +364,11 @@ impl Tdg {
         self.edges.push(edge);
     }
 
+    /// The graph's nodes, edges and mode, moved out; used by merging.
+    pub(crate) fn into_parts(self) -> (Vec<TdgNode>, Vec<TdgEdge>, AnalysisMode) {
+        (self.nodes, self.edges, self.mode)
+    }
+
     /// Direct construction from parts, used by merging and tests.
     pub(crate) fn from_parts(nodes: Vec<TdgNode>, edges: Vec<TdgEdge>, mode: AnalysisMode) -> Self {
         Tdg { nodes, edges, mode }

@@ -39,5 +39,5 @@ pub use analysis::{
 };
 pub use export::{critical_path, stats, to_dot, TdgStats};
 pub use graph::{NodeId, Tdg, TdgEdge, TdgNode};
-pub use merge::{merge_all, merge_pair};
+pub use merge::merge_all;
 pub use stateaccess::{relaxed_type, FieldEvidence, StateClass, StateClassification};
