@@ -145,6 +145,37 @@ if ! diff <(cargo run -q --release -p hermes-bench --bin recovery -- --golden) \
 fi
 echo "journal golden matches"
 
+echo "==> CLI JSON golden (deploy, migrate, chaos, recover on the audit fixture, linear:3)"
+# Pins the pretty and compact JSON the CLI prints (plan artifacts, event
+# logs, recovery summary) byte for byte. REGEN_GOLDEN=1 ./ci.sh rewrites
+# the fixture instead of failing.
+cli_journal="$(mktemp)"
+hermes_cli() {
+  cargo run -q --release -p hermes-cli --bin hermes -- "$@"
+}
+cli_out="$(
+  fixture=tests/fixtures/audit_workload.p4dsl
+  echo "### deploy --topology linear:3 --json"
+  hermes_cli deploy "$fixture" --topology linear:3 --json --journal "$cli_journal"
+  echo "### migrate --topology linear:3 --exclude 0 --json"
+  hermes_cli migrate "$fixture" --topology linear:3 --exclude 0 --json
+  echo "### chaos --topology linear:3 --seed 7 --json"
+  hermes_cli chaos "$fixture" --topology linear:3 --seed 7 --json
+  echo "### recover --json (journal of the deploy above)"
+  hermes_cli recover --journal "$cli_journal" --json
+)"
+rm -f "$cli_journal"
+if [[ "${REGEN_GOLDEN:-0}" == "1" ]]; then
+  printf '%s\n' "$cli_out" > tests/fixtures/cli_json_golden.txt
+  echo "CLI JSON golden regenerated"
+elif ! diff <(printf '%s\n' "$cli_out") tests/fixtures/cli_json_golden.txt; then
+  echo "CLI JSON output drifted from tests/fixtures/cli_json_golden.txt" >&2
+  echo "re-generate with REGEN_GOLDEN=1 if the change is intentional" >&2
+  exit 1
+else
+  echo "CLI JSON golden matches"
+fi
+
 echo "==> pipeline benchmark build + self-test"
 # The benchmark is a workspace of its own that compiles against the
 # crates' public API; its self-test smokes every workload twice.

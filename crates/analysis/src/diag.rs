@@ -212,16 +212,16 @@ pub struct AuditReport {
 // from the JSON instead of serialized as `"state": null` — existing report
 // snapshots must not change shape when the feature is off.
 impl Serialize for AuditReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("diagnostics".to_owned(), self.diagnostics.to_value()),
-            ("certificates".to_owned(), self.certificates.to_value()),
-            ("summary".to_owned(), self.summary.to_value()),
-        ];
+    fn serialize(&self, s: &mut serde::Serializer) -> Result<(), serde::Error> {
+        let mut m = s.map()?;
+        m.field("diagnostics", &self.diagnostics)?;
+        m.field("certificates", &self.certificates)?;
+        m.field("summary", &self.summary)?;
         if let Some(state) = &self.state {
-            fields.push(("state".to_owned(), state.to_value()));
+            m.field("state", state)?;
         }
-        serde::Value::Map(fields)
+        m.end();
+        Ok(())
     }
 }
 

@@ -74,16 +74,34 @@ const FRAME_HEADER_LEN: usize = 2 + 4 + 4;
 /// corruption, not a large record.
 const MAX_PAYLOAD_LEN: usize = 64 * 1024 * 1024;
 
-/// CRC32 (IEEE 802.3, reflected) over `bytes`. Guarantees detection of
-/// any single-bit error in the covered payload.
+/// The reflected CRC32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight bitwise steps, built at compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
+/// CRC32 (IEEE 802.3, reflected) over `bytes`, one table lookup per
+/// byte. Guarantees detection of any single-bit error in the covered
+/// payload.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -781,6 +799,42 @@ mod tests {
             Err(e) => panic!("{e}"),
         };
         assert_eq!(replay.records.len(), 2);
+    }
+
+    /// The bit-at-a-time CRC32 the table is derived from: the oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_oracle() {
+        // SplitMix64 payloads of every length 0..=1024.
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for len in 0..=1024usize {
+            let payload: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&payload), crc32_bitwise(&payload), "length {len}");
+        }
     }
 
     #[test]

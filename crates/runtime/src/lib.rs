@@ -90,6 +90,8 @@ pub mod channel;
 pub mod event;
 pub mod fault;
 pub mod journal;
+#[cfg(test)]
+mod journal_consistency;
 pub mod migrate;
 pub mod recovery;
 pub mod runtime;

@@ -48,6 +48,7 @@ use hermes_net::SwitchId;
 use hermes_tdg::Tdg;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs for one migration run.
@@ -180,19 +181,9 @@ impl DeploymentRuntime {
         target: DeploymentPlan,
         cfg: &MigrationConfig,
     ) -> Result<MigrationOutcome, ControllerCrash> {
-        match self.check_preconditions(tdg, &target) {
-            Ok(Some(prior)) => prior,
-            Ok(None) => {
-                // Same plan: nothing to do, nothing to disturb.
-                return Ok(MigrationOutcome::Migrated {
-                    epoch: self.active_epoch().unwrap_or(0),
-                    steps: 0,
-                    reconfig_us: 0,
-                    messages: 0,
-                });
-            }
-            Err(outcome) => return Ok(outcome),
-        };
+        if let Some(outcome) = self.check_preconditions(tdg, &target)? {
+            return Ok(outcome);
+        }
         let schedule = {
             let active = self.active.as_ref().expect("preconditions checked");
             let problem = MigrationProblem { tdg, net: &self.net, from: &active.plan, to: &target };
@@ -200,7 +191,7 @@ impl DeploymentRuntime {
             MigrationScheduler::with_order(cfg.order.clone()).plan(&problem, &ctx)
         };
         match schedule {
-            Ok(schedule) => self.try_migrate_with_schedule(tdg, target, &schedule, cfg),
+            Ok(schedule) => self.execute_schedule(tdg, target, &schedule, cfg),
             Err(e) => {
                 let epoch = self.advance_epoch()?;
                 Ok(self.migration_abort(epoch, format!("no safe schedule: {e}")))
@@ -237,18 +228,22 @@ impl DeploymentRuntime {
         schedule: &MigrationSchedule,
         cfg: &MigrationConfig,
     ) -> Result<MigrationOutcome, ControllerCrash> {
-        let prior = match self.check_preconditions(tdg, &target) {
-            Ok(Some(prior)) => prior,
-            Ok(None) => {
-                return Ok(MigrationOutcome::Migrated {
-                    epoch: self.active_epoch().unwrap_or(0),
-                    steps: 0,
-                    reconfig_us: 0,
-                    messages: 0,
-                });
-            }
-            Err(outcome) => return Ok(outcome),
-        };
+        if let Some(outcome) = self.check_preconditions(tdg, &target)? {
+            return Ok(outcome);
+        }
+        self.execute_schedule(tdg, target, schedule, cfg)
+    }
+
+    /// Validates, gates, journals and executes `schedule` once the
+    /// preconditions hold. Plan A is read from `self.active`, which does
+    /// not change until the final activation.
+    fn execute_schedule(
+        &mut self,
+        tdg: &Tdg,
+        target: DeploymentPlan,
+        schedule: &MigrationSchedule,
+        cfg: &MigrationConfig,
+    ) -> Result<MigrationOutcome, ControllerCrash> {
         let epoch = self.advance_epoch()?;
         let start_us = self.clock_us;
         let messages_before = self.channel.messages_sent();
@@ -283,6 +278,7 @@ impl DeploymentRuntime {
 
         // Prefix gate: every window of the chosen commit order must keep
         // each packet on a single observable epoch end to end.
+        let prior = self.active.as_ref().expect("preconditions checked");
         let transition = EpochTransition {
             tdg,
             old_plan: &prior.plan,
@@ -310,16 +306,21 @@ impl DeploymentRuntime {
             }
         }
 
+        // The preconditions proved `tdg` equal to plan A's TDG, so plan
+        // B shares it and its fingerprint.
+        let prior = self.active.as_ref().expect("preconditions checked");
+        let next =
+            ActiveDeployment::new(epoch, Arc::clone(&prior.tdg), prior.tdg_fp, target, artifacts);
         // The migration's intent becomes durable before the first step
         // touches an agent: a restarted controller can tell exactly which
         // prefix of `order` had committed from the step checkpoints that
         // follow this record.
         self.journal_note(JournalRecord::MigrationBegun {
             epoch,
-            tdg_fp: hermes_core::tdg_fingerprint(tdg),
-            plan_fp: target.fingerprint(),
-            plan: target.clone(),
-            artifacts: artifacts.clone(),
+            tdg_fp: next.tdg_fp,
+            plan_fp: next.plan_fp,
+            plan: next.plan.clone(),
+            artifacts: next.artifacts.clone(),
             order: order.clone(),
         })?;
 
@@ -330,7 +331,7 @@ impl DeploymentRuntime {
         let mut lease_refreshed_us = self.clock_us;
         for (idx, step) in schedule.steps.iter().enumerate() {
             let switch = step.switch;
-            let config = artifacts.switches[&switch].clone();
+            let config = next.artifacts.switches[&switch].clone();
             // Keep earlier checkpoints' leases alive through a long
             // migration window.
             if self.clock_us.saturating_sub(lease_refreshed_us) > self.policy.lease_us / 4 {
@@ -406,7 +407,6 @@ impl DeploymentRuntime {
                 // config; fencing covers a lost abort.
                 self.abort_prepared(&[switch], epoch);
                 return self.migration_roll_back(
-                    prior,
                     epoch,
                     format!("step {idx} (switch {switch}) failed: {last_reason}"),
                     &committed,
@@ -436,7 +436,6 @@ impl DeploymentRuntime {
         if let Some(switch) = lapsed {
             failures += 1;
             return self.migration_roll_back(
-                prior,
                 epoch,
                 format!("switch {switch}'s lease lapsed during the migration window"),
                 &committed,
@@ -447,11 +446,10 @@ impl DeploymentRuntime {
         // Faults during the steps (lost links, crashed bystanders) may
         // have degraded the network; the target must still hold on what
         // is actually left before it becomes the active deployment.
-        let violations = verify(tdg, &self.net, &target, &self.eps);
+        let violations = verify(tdg, &self.net, &next.plan, &self.eps);
         if let Some(first) = violations.first() {
             failures += 1;
             return self.migration_roll_back(
-                prior,
                 epoch,
                 format!("target plan no longer valid after migration: {first}"),
                 &committed,
@@ -462,7 +460,7 @@ impl DeploymentRuntime {
 
         let steps = schedule.steps.len();
         self.journal_note(JournalRecord::MigrationCompleted { epoch, steps })?;
-        self.activate(epoch, tdg.clone(), target, artifacts)?;
+        self.activate(next)?;
         let reconfig_us = self.clock_us - start_us;
         let messages = self.channel.messages_sent() - messages_before;
         self.log.push(Event::MigrationCompleted {
@@ -475,34 +473,33 @@ impl DeploymentRuntime {
         Ok(MigrationOutcome::Migrated { epoch, steps, reconfig_us, messages })
     }
 
-    /// Checks the migration preconditions. `Ok(Some(prior))` means go
-    /// (with the deployment to roll back to), `Ok(None)` means the target
-    /// is already serving, `Err` is the abort outcome to return.
+    /// Checks the migration preconditions: an active deployment of the
+    /// same TDG, on which plan A stays until the final activation.
+    /// `Ok(None)` means go; `Ok(Some(outcome))` is the outcome to return
+    /// instead (a no-op when the target already serves, else a refusal).
     fn check_preconditions(
         &mut self,
         tdg: &Tdg,
         target: &DeploymentPlan,
-    ) -> Result<Option<ActiveDeployment>, MigrationOutcome> {
+    ) -> Result<Option<MigrationOutcome>, ControllerCrash> {
         let reason = match &self.active {
-            Some(active) if active.tdg == *tdg => {
+            Some(active) if *active.tdg == *tdg => {
                 if active.plan == *target {
-                    return Ok(None);
+                    // Same plan: nothing to do, nothing to disturb.
+                    return Ok(Some(MigrationOutcome::Migrated {
+                        epoch: active.epoch,
+                        steps: 0,
+                        reconfig_us: 0,
+                        messages: 0,
+                    }));
                 }
-                return Ok(Some(active.clone()));
+                return Ok(None);
             }
             Some(_) => "the active deployment runs a different program set; use rollout",
             None => "no active deployment to migrate from; use rollout",
         };
-        let epoch = match self.advance_epoch() {
-            Ok(epoch) => epoch,
-            Err(crash) => {
-                return Err(MigrationOutcome::ControllerCrashed {
-                    epoch: crash.epoch,
-                    point: crash.point,
-                })
-            }
-        };
-        Err(self.migration_abort(epoch, reason.to_string()))
+        let epoch = self.advance_epoch()?;
+        Ok(Some(self.migration_abort(epoch, reason.to_string())))
     }
 
     /// Logs and returns a pre-commit refusal (plan A untouched).
@@ -521,7 +518,6 @@ impl DeploymentRuntime {
     /// abort threshold is crossed.
     fn migration_roll_back(
         &mut self,
-        prior: ActiveDeployment,
         epoch: u64,
         reason: String,
         committed: &[SwitchId],
@@ -537,36 +533,35 @@ impl DeploymentRuntime {
             forced: failures > cfg.abort_threshold,
         })?;
         if failures > cfg.abort_threshold {
-            return self.forced_restore(prior, epoch, reason, undone);
+            return self.forced_restore(epoch, reason, undone);
         }
         // Undo checkpoints newest-first under a fresh epoch — the
         // abandoned migration epoch is fenced wherever the undo lands, so
         // a straggling migration commit can never re-activate it.
         let undo_epoch = self.advance_epoch()?;
         let mut restored: Vec<SwitchId> = Vec::new();
+        let prior_epoch = self.active_epoch().expect("plan A stays active while migrating");
         for &switch in committed.iter().rev() {
-            let ok = match prior.artifacts.switches.get(&switch) {
-                Some(config) => {
-                    let config = config.clone();
-                    match self.prepare_with_retry(switch, &config, undo_epoch) {
-                        Ok(()) => self.commit_with_retry(switch, undo_epoch),
-                        Err(_) => false,
-                    }
-                }
+            let prior_config = self.active.as_ref().and_then(|a| a.artifacts.switches.get(&switch));
+            let ok = match prior_config.cloned() {
+                Some(config) => match self.prepare_with_retry(switch, &config, undo_epoch) {
+                    Ok(()) => self.commit_with_retry(switch, undo_epoch),
+                    Err(_) => false,
+                },
                 None => {
                     // The switch exists only in plan B; nothing in plan A
                     // routes through it, so decommission it out of band.
                     self.agents
                         .get_mut(&switch)
                         .expect("agents cover all switches")
-                        .force_activate(prior.epoch, None);
+                        .force_activate(prior_epoch, None);
                     true
                 }
             };
             if !ok {
                 failures += 1;
                 let _ = failures;
-                return self.forced_restore(prior, epoch, reason, undone);
+                return self.forced_restore(epoch, reason, undone);
             }
             self.log.push(Event::MigrationStepRolledBack {
                 epoch: undo_epoch,
@@ -585,7 +580,7 @@ impl DeploymentRuntime {
                 .expect("agents cover all switches")
                 .expire_lease(self.clock_us);
             if expired.is_some() {
-                return self.forced_restore(prior, epoch, reason, undone);
+                return self.forced_restore(epoch, reason, undone);
             }
             self.agents.get_mut(&switch).expect("agents cover all switches").release_lease();
         }
@@ -602,12 +597,14 @@ impl DeploymentRuntime {
     /// The escalation path: out-of-band full restore of plan A.
     fn forced_restore(
         &mut self,
-        prior: ActiveDeployment,
         epoch: u64,
         reason: String,
         undone: usize,
     ) -> Result<MigrationOutcome, ControllerCrash> {
-        self.force_restore(Some(prior))?;
+        // Plan A is still the active deployment; restoring it re-journals
+        // its snapshot, fingerprints included.
+        let plan_a = self.active.clone();
+        self.force_restore(plan_a)?;
         self.log.push(Event::MigrationRolledBack {
             epoch,
             reason: reason.clone(),

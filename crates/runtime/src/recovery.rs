@@ -53,6 +53,7 @@ use hermes_net::SwitchId;
 use hermes_tdg::Tdg;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Per-switch reinstall failures recovery tolerates before abandoning
 /// surgical repair for the out-of-band full restore.
@@ -537,7 +538,11 @@ impl DeploymentRuntime {
         };
 
         let (reinstalled, forced) = match chosen {
-            Some((plan, artifacts)) => self.reinstall(tdg, plan, artifacts, fresh),
+            Some((plan, artifacts)) => {
+                let restored =
+                    ActiveDeployment::new(fresh, Arc::new(tdg.clone()), expected, plan, artifacts);
+                self.reinstall(restored)
+            }
             None => {
                 // Nothing to restore: journal the cleared state and wipe
                 // every live agent to match it.
@@ -632,21 +637,16 @@ impl DeploymentRuntime {
         unreachable
     }
 
-    /// Reinstalls `plan` on every live occupied switch under the fresh
-    /// epoch (prepare + commit, with the usual bounded retries), falling
-    /// back per switch to out-of-band force-activation and — past
+    /// Reinstalls `restored` on every live occupied switch under its
+    /// (fresh) epoch (prepare + commit, with the usual bounded retries),
+    /// falling back per switch to out-of-band force-activation and — past
     /// [`RECOVERY_ABORT_THRESHOLD`] failures — to a full force restore.
     /// Live agents the plan does not occupy are wiped so no stale epoch
     /// keeps serving anywhere. Returns `(reinstalled, forced)` counts.
-    fn reinstall(
-        &mut self,
-        tdg: &Tdg,
-        plan: DeploymentPlan,
-        artifacts: DeploymentArtifacts,
-        fresh: u64,
-    ) -> (usize, usize) {
+    fn reinstall(&mut self, restored: ActiveDeployment) -> (usize, usize) {
+        let fresh = restored.epoch;
         let occupied: Vec<(SwitchId, SwitchConfig)> =
-            artifacts.switches.iter().map(|(&s, c)| (s, c.clone())).collect();
+            restored.artifacts.switches.iter().map(|(&s, c)| (s, c.clone())).collect();
         let mut committed: Vec<SwitchId> = Vec::new();
         let mut forced = 0usize;
         let mut failures = 0u32;
@@ -667,20 +667,7 @@ impl DeploymentRuntime {
             if failures > RECOVERY_ABORT_THRESHOLD {
                 // Too much of the fleet refuses the protocol: stop being
                 // surgical and restore everything out of band.
-                let restored = ActiveDeployment {
-                    epoch: fresh,
-                    tdg: tdg.clone(),
-                    plan: plan.clone(),
-                    artifacts: artifacts.clone(),
-                };
-                self.journal.append(&JournalRecord::Snapshot {
-                    epoch: fresh,
-                    tdg_fp: hermes_core::tdg_fingerprint(tdg),
-                    plan_fp: plan.fingerprint(),
-                    plan: plan.clone(),
-                    artifacts: artifacts.clone(),
-                    clock_us: self.clock_us,
-                });
+                self.journal.append(&restored.snapshot(self.clock_us));
                 self.channel.clear();
                 for (&s, agent) in &mut self.agents {
                     agent.force_activate(fresh, restored.artifacts.switches.get(&s).cloned());
@@ -711,19 +698,12 @@ impl DeploymentRuntime {
         // Wipe live agents the plan does not occupy: nothing stale may
         // keep serving beside the restored deployment.
         for (&switch, agent) in &mut self.agents {
-            if !artifacts.switches.contains_key(&switch) {
+            if !restored.artifacts.switches.contains_key(&switch) {
                 agent.force_activate(fresh, None);
             }
         }
-        self.journal.append(&JournalRecord::Snapshot {
-            epoch: fresh,
-            tdg_fp: hermes_core::tdg_fingerprint(tdg),
-            plan_fp: plan.fingerprint(),
-            plan: plan.clone(),
-            artifacts: artifacts.clone(),
-            clock_us: self.clock_us,
-        });
-        self.active = Some(ActiveDeployment { epoch: fresh, tdg: tdg.clone(), plan, artifacts });
+        self.journal.append(&restored.snapshot(self.clock_us));
+        self.active = Some(restored);
         (committed.len(), forced)
     }
 }

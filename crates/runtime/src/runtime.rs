@@ -53,6 +53,7 @@ use hermes_tdg::Tdg;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Retry/backoff/lease policy for the transaction protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -198,12 +199,60 @@ impl From<ControllerCrash> for TxnFailure {
 }
 
 /// The plan currently serving traffic, with everything needed to heal it.
+///
+/// The fingerprints are computed once, when the plan is accepted, and
+/// travel with the deployment into every journal record that names it.
+/// The TDG is shared: a heal or a migration keeps the TDG of the
+/// deployment it replaces.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ActiveDeployment {
     pub(crate) epoch: u64,
-    pub(crate) tdg: Tdg,
+    pub(crate) tdg: Arc<Tdg>,
+    /// `tdg_fingerprint(&tdg)`.
+    pub(crate) tdg_fp: u64,
     pub(crate) plan: DeploymentPlan,
+    /// `plan.fingerprint()`.
+    pub(crate) plan_fp: u64,
     pub(crate) artifacts: DeploymentArtifacts,
+}
+
+impl ActiveDeployment {
+    /// A deployment of `plan` for `tdg` at `epoch`, fingerprinting `plan`.
+    pub(crate) fn new(
+        epoch: u64,
+        tdg: Arc<Tdg>,
+        tdg_fp: u64,
+        plan: DeploymentPlan,
+        artifacts: DeploymentArtifacts,
+    ) -> Self {
+        let plan_fp = plan.fingerprint();
+        ActiveDeployment { epoch, tdg, tdg_fp, plan, plan_fp, artifacts }
+    }
+
+    /// The write-ahead record opening a transaction that installs this
+    /// deployment.
+    fn txn_begun(&self, kind: TxnKind) -> JournalRecord {
+        JournalRecord::TxnBegun {
+            epoch: self.epoch,
+            kind,
+            tdg_fp: self.tdg_fp,
+            plan_fp: self.plan_fp,
+            plan: self.plan.clone(),
+            artifacts: self.artifacts.clone(),
+        }
+    }
+
+    /// The activation snapshot of this deployment at `clock_us`.
+    pub(crate) fn snapshot(&self, clock_us: u64) -> JournalRecord {
+        JournalRecord::Snapshot {
+            epoch: self.epoch,
+            tdg_fp: self.tdg_fp,
+            plan_fp: self.plan_fp,
+            plan: self.plan.clone(),
+            artifacts: self.artifacts.clone(),
+            clock_us,
+        }
+    }
 }
 
 /// The transactional, failure-aware deployment runtime.
@@ -453,9 +502,6 @@ impl DeploymentRuntime {
         plan: DeploymentPlan,
     ) -> Result<RolloutOutcome, ControllerCrash> {
         let epoch = self.advance_epoch()?;
-        // Snapshot the pre-rollout deployment: it is what a failed heal
-        // rolls back to.
-        let prior = self.active.clone();
         let switches: Vec<SwitchId> = plan.occupied_switches().into_iter().collect();
         self.log.push(Event::RolloutStarted {
             epoch,
@@ -477,27 +523,25 @@ impl DeploymentRuntime {
             return Ok(self.roll_back(epoch, "pre-install validation failed".to_string()));
         }
 
-        self.journal_note(JournalRecord::TxnBegun {
-            epoch,
-            kind: TxnKind::Deploy,
-            tdg_fp: hermes_core::tdg_fingerprint(tdg),
-            plan_fp: plan.fingerprint(),
-            plan: plan.clone(),
-            artifacts: artifacts.clone(),
-        })?;
-        match self.install_transaction(tdg, &plan, &artifacts, epoch, true) {
+        let tdg_fp = hermes_core::tdg_fingerprint(tdg);
+        let next = ActiveDeployment::new(epoch, Arc::new(tdg.clone()), tdg_fp, plan, artifacts);
+        self.journal_note(next.txn_begun(TxnKind::Deploy))?;
+        // The pre-rollout deployment that activation replaces is what a
+        // failed heal rolls back to.
+        let prior = match self.install_transaction(&next, true) {
             Err(TxnFailure::Crashed(crash)) => return Err(crash),
             Err(TxnFailure::Aborted(reason)) => return Ok(self.roll_back(epoch, reason)),
             Ok(dead) => {
-                self.activate(epoch, tdg.clone(), plan, artifacts)?;
+                let prior = self.activate(next)?;
                 if !dead.is_empty() {
                     // Some switches were lost during the commit window
                     // itself (unreachable or lease-lapsed): the committed
                     // deployment is already degraded.
                     return self.heal(prior);
                 }
+                prior
             }
-        }
+        };
 
         // The committed deployment may immediately lose a switch.
         let occupied: Vec<SwitchId> = self
@@ -527,7 +571,8 @@ impl DeploymentRuntime {
         let a_max_before =
             self.active.as_ref().map_or(0, |a| a.plan.max_inter_switch_bytes(&a.tdg));
         loop {
-            let Some(active) = self.active.clone() else {
+            let Some((tdg, tdg_fp)) = self.active.as_ref().map(|a| (Arc::clone(&a.tdg), a.tdg_fp))
+            else {
                 return Ok(RolloutOutcome::RolledBack {
                     epoch: self.epoch,
                     reason: "nothing to heal".to_string(),
@@ -543,14 +588,10 @@ impl DeploymentRuntime {
 
             let mut opts = RedeployOptions::excluding(down);
             opts.exact_budget_ms = self.recovery_budget_ms;
-            let outcome = match IncrementalDeployer::new().redeploy_with(
-                &active.tdg,
-                &active.plan,
-                &active.tdg,
-                &self.net,
-                &self.eps,
-                &opts,
-            ) {
+            let current = &self.active.as_ref().expect("checked above").plan;
+            let outcome = match IncrementalDeployer::new()
+                .redeploy_with(&tdg, current, &tdg, &self.net, &self.eps, &opts)
+            {
                 Ok(outcome) => outcome,
                 Err(e) => {
                     self.log.push(Event::HealingFailed {
@@ -573,7 +614,7 @@ impl DeploymentRuntime {
             // mixed-epoch gate is skipped (see module docs): the dead
             // switch already broke consistency, healing repairs service.
             let (report, artifacts) =
-                validate_plan(&active.tdg, &self.net, &outcome.plan, &self.eps, &self.packet_seeds);
+                validate_plan(&tdg, &self.net, &outcome.plan, &self.eps, &self.packet_seeds);
             if !report.is_ok() {
                 self.log.push(Event::HealingFailed {
                     epoch,
@@ -586,22 +627,16 @@ impl DeploymentRuntime {
                     "healed plan failed validation".to_string(),
                 );
             }
-            self.journal_note(JournalRecord::TxnBegun {
-                epoch,
-                kind: TxnKind::Heal,
-                tdg_fp: hermes_core::tdg_fingerprint(&active.tdg),
-                plan_fp: outcome.plan.fingerprint(),
-                plan: outcome.plan.clone(),
-                artifacts: artifacts.clone(),
-            })?;
-            match self.install_transaction(&active.tdg, &outcome.plan, &artifacts, epoch, false) {
+            let next = ActiveDeployment::new(epoch, tdg, tdg_fp, outcome.plan, artifacts);
+            self.journal_note(next.txn_begun(TxnKind::Heal))?;
+            match self.install_transaction(&next, false) {
                 Err(TxnFailure::Crashed(crash)) => return Err(crash),
                 Err(TxnFailure::Aborted(reason)) => {
                     return self.roll_back_to(previous, epoch, reason)
                 }
                 Ok(dead) => {
-                    let a_max_after = outcome.plan.max_inter_switch_bytes(&active.tdg);
-                    self.activate(epoch, active.tdg, outcome.plan, artifacts)?;
+                    let a_max_after = next.plan.max_inter_switch_bytes(&next.tdg);
+                    self.activate(next)?;
                     if dead.is_empty() {
                         self.log.push(Event::RecoveryCompleted {
                             epoch,
@@ -633,12 +668,11 @@ impl DeploymentRuntime {
     /// declared down during it.
     fn install_transaction(
         &mut self,
-        tdg: &Tdg,
-        plan: &DeploymentPlan,
-        artifacts: &DeploymentArtifacts,
-        epoch: u64,
+        next: &ActiveDeployment,
         check_mixed: bool,
     ) -> Result<Vec<SwitchId>, TxnFailure> {
+        let ActiveDeployment { epoch, tdg, plan, artifacts, .. } = next;
+        let epoch = *epoch;
         let mut prepared: Vec<SwitchId> = Vec::new();
         for (&switch, config) in &artifacts.switches {
             match self.prepare_with_retry(switch, config, epoch) {
@@ -1047,33 +1081,24 @@ impl DeploymentRuntime {
         }
     }
 
+    /// Journals `next`'s activation snapshot and makes it the active
+    /// deployment. Returns the deployment it replaced.
     pub(crate) fn activate(
         &mut self,
-        epoch: u64,
-        tdg: Tdg,
-        plan: DeploymentPlan,
-        artifacts: DeploymentArtifacts,
-    ) -> Result<(), ControllerCrash> {
+        next: ActiveDeployment,
+    ) -> Result<Option<ActiveDeployment>, ControllerCrash> {
         // Activation snapshots are the journal's compaction points: a
         // self-contained restart state that makes everything before them
         // replay-irrelevant.
-        self.journal_note(JournalRecord::Snapshot {
-            epoch,
-            tdg_fp: hermes_core::tdg_fingerprint(&tdg),
-            plan_fp: plan.fingerprint(),
-            plan: plan.clone(),
-            artifacts: artifacts.clone(),
-            clock_us: self.clock_us,
-        })?;
+        self.journal_note(next.snapshot(self.clock_us))?;
         self.log.push(Event::Activated {
-            epoch,
-            a_max_bytes: plan.max_inter_switch_bytes(&tdg),
-            latency_us: plan.end_to_end_latency_us(),
-            occupied: plan.occupied_switch_count(),
+            epoch: next.epoch,
+            a_max_bytes: next.plan.max_inter_switch_bytes(&next.tdg),
+            latency_us: next.plan.end_to_end_latency_us(),
+            occupied: next.plan.occupied_switch_count(),
             at_us: self.clock_us,
         });
-        self.active = Some(ActiveDeployment { epoch, tdg, plan, artifacts });
-        Ok(())
+        Ok(self.active.replace(next))
     }
 
     /// Aborts epoch `epoch`, leaving the current active deployment as-is.
@@ -1107,14 +1132,7 @@ impl DeploymentRuntime {
         previous: Option<ActiveDeployment>,
     ) -> Result<(), ControllerCrash> {
         match &previous {
-            Some(p) => self.journal_note(JournalRecord::Snapshot {
-                epoch: p.epoch,
-                tdg_fp: hermes_core::tdg_fingerprint(&p.tdg),
-                plan_fp: p.plan.fingerprint(),
-                plan: p.plan.clone(),
-                artifacts: p.artifacts.clone(),
-                clock_us: self.clock_us,
-            })?,
+            Some(p) => self.journal_note(p.snapshot(self.clock_us))?,
             None => self.journal_note(JournalRecord::Cleared { epoch: self.epoch })?,
         }
         self.channel.clear();
